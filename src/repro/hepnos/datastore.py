@@ -20,7 +20,7 @@ from repro.faults.retry import RETRYABLE_ERRORS, RetryPolicy, default_client_pol
 from repro.hepnos import keys
 import numpy as np
 
-from repro.hepnos.column_block import PRESENT, ColumnBlock
+from repro.hepnos.column_block import ColumnBlock
 from repro.hepnos.connection import ConnectionInfo, DbTarget, connection_from_servers
 from repro.hepnos.options import ProductCacheOptions, QuotaOptions
 from repro.hepnos.placement import ParentHashPlacement, ShardMap
@@ -115,7 +115,7 @@ class DataStore:
         self._handles: dict[DbTarget, DatabaseHandle] = {}
         self._uuid_cache: dict[str, bytes] = {}
         #: bounded LRU over serialized product bytes (products are
-        #: immutable once written, so no invalidation is ever needed).
+        #: immutable once written; only a re-store invalidates).
         #: ``None`` when disabled -- the load paths then take the exact
         #: pre-cache code path, so disabled overhead is one ``is None``.
         self.product_cache_options = (
@@ -707,10 +707,8 @@ class DataStore:
             else:
                 self._put_forwarded("products", container_key, key, value)
                 # Write-through: the bytes in hand are exactly what a
-                # later load would fetch (products are immutable).  An
-                # overwrite must also drop any projected columns.
+                # later load would fetch (products are immutable).
                 if self._product_cache is not None:
-                    self._product_cache.invalidate(key)
                     self._product_cache.put(key, value)
             return key
 
@@ -990,7 +988,9 @@ class DataStore:
         aligned with ``container_keys``.  Events whose product could
         not be projected (stored row-wise, or a field degraded) come
         back raw and surface through the block's per-event fallback;
-        absent products occupy zero rows.
+        absent products occupy zero rows.  The client product cache is
+        bypassed: an identical repeated projection is served by each
+        provider's page cache.
 
         Shard-aware exactly like :meth:`load_products_packed`: during a
         live migration the pre-migration shards are scanned too
@@ -1003,39 +1003,20 @@ class DataStore:
             raise HEPnOSError("columnar load needs at least one field")
         tname = product_type_name(product_type)
         suffix = label.encode("utf-8") + b"#" + tname.encode("utf-8")
-        cache = self._product_cache
-        results: list = [None] * len(container_keys)
         groups: list = []
         raw_objs: dict[int, list] = {}
         with _tracing.span("hepnos.load_products_columnar", type=tname,
                            label=label, containers=len(container_keys),
                            fields=len(fields)) as sp:
-            fetch: list[int] = []
-            hits = 0
-            for i, ckey in enumerate(container_keys):
-                if cache is not None:
-                    pkey = ckey + suffix
-                    cols = cache.get_columns(pkey, fields)
-                    if cols is not None:
-                        count = len(cols[fields[0]])
-                        groups.append(([i], [count], cols))
-                        hits += 1
-                        continue
-                fetch.append(i)
-            if cache is not None:
-                sp.set_tag("cache_hits", hits)
-            n_hit_groups = len(groups)
-            if fetch:
+            if container_keys:
                 def attempt():
-                    # A stale-map retry rebuilds every fetched answer:
-                    # drop this round's groups, keep the cache hits.
-                    del groups[n_hit_groups:]
+                    # A stale-map retry rebuilds every answer.
+                    groups.clear()
                     raw_objs.clear()
                     return self._columnar_once(
-                        container_keys, suffix, fields, fetch, results,
-                        groups, raw_objs, sp)
+                        container_keys, suffix, fields, groups, raw_objs, sp)
                 total_bytes = self._with_shard_retry(attempt)
-                per_container = total_bytes / len(fetch)
+                per_container = total_bytes / len(container_keys)
                 if self._columnar_bytes_ema:
                     self._columnar_bytes_ema = (
                         0.7 * self._columnar_bytes_ema + 0.3 * per_container
@@ -1043,36 +1024,24 @@ class DataStore:
                 else:
                     self._columnar_bytes_ema = per_container
                 sp.set_tag("bytes", total_bytes)
-            block = ColumnBlock.from_groups(
+            return ColumnBlock.from_groups(
                 fields, len(container_keys), groups, raw_objs)
-            if cache is not None and fetch:
-                # Columns are small (that is the point of projection),
-                # so unlike the packed path they are worth caching:
-                # repeated analysis passes skip the wire entirely.
-                for i in fetch:
-                    if block.present[i] is PRESENT:
-                        lo, hi = block.event_rows(i)
-                        cache.put_columns(
-                            container_keys[i] + suffix,
-                            {f: block.arrays[f][lo:hi] for f in fields})
-            return block
 
-    def _columnar_once(self, container_keys, suffix, fields, fetch,
-                       results, groups, raw_objs, sp) -> int:
+    def _columnar_once(self, container_keys, suffix, fields, groups,
+                       raw_objs, sp) -> int:
         """One columnar fan-out round: concurrent per-shard projections."""
         smap = self.placement
-        for i in fetch:
-            # Reset answers from a stale round so dual-read merging
-            # ("first non-absent wins") starts clean under the new map.
-            results[i] = None
+        # Fresh answers per round, so dual-read merging ("first
+        # non-absent wins") starts clean under the new map.
+        results: list = [None] * len(container_keys)
         by_target: dict[DbTarget, list[int]] = {}
         migrating = smap.migrating
         locate = smap.strategy.product_database_for
-        for i in fetch:
-            target = locate(container_keys[i])
+        for i, ckey in enumerate(container_keys):
+            target = locate(ckey)
             by_target.setdefault(target, []).append(i)
             if migrating:
-                prev = smap.previous_product_database_for(container_keys[i])
+                prev = smap.previous_product_database_for(ckey)
                 if prev is not None:
                     by_target.setdefault(prev, []).append(i)
         sp.set_tag("databases", len(by_target))
@@ -1085,7 +1054,7 @@ class DataStore:
             # an event's product between the two concurrent scans
             # (copy-before-erase leaves it visible to neither).  Re-scan
             # the current shards for containers still unanswered.
-            retry = [i for i in fetch if results[i] is None]
+            retry = [i for i, r in enumerate(results) if r is None]
             if retry:
                 by_cur: dict[DbTarget, list[int]] = {}
                 for i in retry:
@@ -1094,8 +1063,7 @@ class DataStore:
                 total_bytes += self._columnar_scan_round(
                     by_cur, container_keys, suffix, fields, results,
                     groups, raw_objs)
-        if self.placement is not smap and any(
-                results[i] is None for i in fetch):
+        if self.placement is not smap and None in results:
             raise ShardMapStale(
                 f"shard map advanced to epoch {self.placement.epoch} "
                 f"during a columnar product load"

@@ -570,12 +570,15 @@ class ParallelEventProcessor:
                                          num_workers=comm.size - num_readers)
             else:
                 stats = self._run_worker(fn, readers=list(range(num_readers)))
-            stats.rank = rank
-            return stats
-        finally:
-            # Keep the exit collective even on failure so surviving ranks
-            # do not hang in recv.
-            comm.barrier()
+        except BaseException as exc:
+            # Fail fast: peers blocked in recv (a reader waiting for
+            # requests, workers waiting for batches) raise at once
+            # instead of waiting for this rank in the exit barrier.
+            comm.abort(exc)
+            raise
+        comm.barrier()
+        stats.rank = rank
+        return stats
 
     def _run_reader(self, subruns, num_workers: int) -> PEPStatistics:
         stats = PEPStatistics(role="reader")
@@ -583,7 +586,7 @@ class ParallelEventProcessor:
         queue: deque = deque()
         lock = threading.Lock()
         ready = threading.Condition(lock)
-        state = {"done": False, "error": None}
+        state = {"done": False, "error": None, "stop": False}
         max_queued = max(
             1, self.queue_depth * self.input_batch_size // self.dispatch_batch_size
         )
@@ -601,11 +604,14 @@ class ParallelEventProcessor:
                     for i in range(0, len(batch), self.dispatch_batch_size):
                         chunk = batch[i : i + self.dispatch_batch_size]
                         with ready:
-                            while len(queue) >= max_queued:
+                            while (len(queue) >= max_queued
+                                   and not state["stop"]):
                                 ready.wait()
+                            if state["stop"]:
+                                return
                             queue.append(chunk)
                             ready.notify_all()
-            except BaseException as exc:  # noqa: BLE001 - forwarded to workers
+            except BaseException as exc:  # noqa: BLE001 - re-raised by the reader
                 state["error"] = exc
             finally:
                 with ready:
@@ -617,30 +623,34 @@ class ParallelEventProcessor:
         thread.start()
 
         dones_sent = 0
-        while dones_sent < num_workers:
-            worker, _src, _tag = None, None, None
-            payload, src, _ = comm.recv_with_status(tag=_TAG_REQUEST,
-                                                    timeout=None)
-            worker = src
+        try:
+            while dones_sent < num_workers:
+                _payload, worker, _ = comm.recv_with_status(
+                    tag=_TAG_REQUEST, timeout=None)
+                with ready:
+                    while not queue and not state["done"]:
+                        ready.wait()
+                    chunk = queue.popleft() if queue else None
+                    ready.notify_all()
+                if state["error"] is not None:
+                    # The caller aborts the communicator, so workers
+                    # waiting on this reader fail at once.
+                    raise HEPnOSError(
+                        f"PEP reader failed: {state['error']!r}"
+                    ) from state["error"]
+                if chunk is None:
+                    comm.send(("done", None), dest=worker, tag=_TAG_REPLY)
+                    dones_sent += 1
+                else:
+                    comm.send(("batch", chunk), dest=worker, tag=_TAG_REPLY)
+                    stats.served[worker] = (stats.served.get(worker, 0)
+                                            + len(chunk))
+        finally:
+            # On failure the loader may be parked on a full queue.
             with ready:
-                while not queue and not state["done"]:
-                    ready.wait()
-                chunk = queue.popleft() if queue else None
+                state["stop"] = True
                 ready.notify_all()
-            if state["error"] is not None:
-                comm.send(("error", repr(state["error"])), dest=worker,
-                          tag=_TAG_REPLY)
-                dones_sent += 1
-                continue
-            if chunk is None:
-                comm.send(("done", None), dest=worker, tag=_TAG_REPLY)
-                dones_sent += 1
-            else:
-                comm.send(("batch", chunk), dest=worker, tag=_TAG_REPLY)
-                stats.served[worker] = stats.served.get(worker, 0) + len(chunk)
-        thread.join()
-        if state["error"] is not None:
-            raise HEPnOSError(f"PEP reader failed: {state['error']!r}")
+            thread.join()
         return stats
 
     def _run_worker(self, fn: Callable,
@@ -649,7 +659,6 @@ class ParallelEventProcessor:
         comm = self.comm
         active = set(readers)
         outstanding: set[int] = set()
-        errors: list[str] = []
         rr = comm.rank % max(len(readers), 1)
         order = readers[rr:] + readers[:rr]  # stagger first contacts
         depth = self.worker_pipeline
@@ -673,11 +682,6 @@ class ParallelEventProcessor:
             outstanding.discard(src)
             if kind == "done":
                 active.discard(src)
-            elif kind == "error":
-                # Keep draining the other readers so they terminate,
-                # then report the failure.
-                errors.append(payload)
-                active.discard(src)
             else:
                 # Request the next batch BEFORE processing this one so
                 # the fetch overlaps the compute (pipeline > 1 also
@@ -688,6 +692,4 @@ class ParallelEventProcessor:
                 self._process_events(payload, fn, stats)
                 stats.processing_seconds += time.monotonic() - t1
             top_up()
-        if errors:
-            raise HEPnOSError(f"PEP reader reported: {errors[0]}")
         return stats

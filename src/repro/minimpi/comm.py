@@ -36,6 +36,13 @@ class _Mailbox:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._messages: list[tuple[int, int, Any]] = []
+        #: set by :meth:`abort`; every blocked and later ``take`` raises it.
+        self._aborted: Optional[str] = None
+
+    def abort(self, reason: str) -> None:
+        with self._cond:
+            self._aborted = reason
+            self._cond.notify_all()
 
     def put(self, source: int, tag: int, payload: Any) -> None:
         with self._cond:
@@ -46,6 +53,8 @@ class _Mailbox:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while True:
+                if self._aborted is not None:
+                    raise MPIError(self._aborted)
                 for i, (src, mtag, payload) in enumerate(self._messages):
                     if source not in (ANY_SOURCE, src):
                         continue
@@ -64,22 +73,58 @@ class _Mailbox:
 
 
 class _Backend:
-    """Shared state of one communicator: mailboxes and split bookkeeping."""
+    """Shared state of one communicator: mailboxes and split bookkeeping.
 
-    def __init__(self, size: int):
+    Sub-communicators from :meth:`split` share their root's abort: an
+    abort on any of them wakes every mailbox of the whole tree.
+    """
+
+    def __init__(self, size: int, root: Optional["_Backend"] = None):
         self.size = size
         self.mailboxes = [_Mailbox() for _ in range(size)]
+        self._root = root if root is not None else self
         self._split_lock = threading.Lock()
         self._split_groups: dict[tuple[int, int], "_Backend"] = {}
+        #: ``(rank, exc)`` of the first abort (set on the root only).
+        self.abort_origin: Optional[tuple[int, BaseException]] = None
 
     def split_backend(self, seq: int, color: int, group_size: int) -> "_Backend":
         with self._split_lock:
             key = (seq, color)
             backend = self._split_groups.get(key)
             if backend is None:
-                backend = _Backend(group_size)
+                backend = _Backend(group_size, root=self._root)
                 self._split_groups[key] = backend
+                origin = self._root.abort_origin
+                if origin is not None:
+                    backend._wake(_abort_reason(*origin))
             return backend
+
+    def abort(self, rank: int, exc: BaseException) -> None:
+        """Fail every receive, blocked or later, in the whole tree.
+
+        The first abort wins; later calls (ranks failing *because* of
+        it) change nothing, so :attr:`abort_origin` names the rank
+        whose error started it.
+        """
+        root = self._root
+        with root._split_lock:
+            if root.abort_origin is not None:
+                return
+            root.abort_origin = (rank, exc)
+        root._wake(_abort_reason(rank, exc))
+
+    def _wake(self, reason: str) -> None:
+        for mailbox in self.mailboxes:
+            mailbox.abort(reason)
+        with self._split_lock:
+            children = list(self._split_groups.values())
+        for child in children:
+            child._wake(reason)
+
+
+def _abort_reason(rank: int, exc: BaseException) -> str:
+    return f"aborted: rank {rank} failed: {exc!r}"
 
 
 class Request:
@@ -145,6 +190,16 @@ class Communicator:
     def Get_size(self) -> int:
         return self._backend.size
 
+    def abort(self, exc: BaseException) -> None:
+        """Fail fast: wake every rank blocked in (or later entering) a
+        receive on this communicator, its parent and its splits with an
+        :class:`MPIError` naming this rank and ``exc``.
+
+        Unlike ``MPI_Abort`` this does not kill the ranks; each one
+        unwinds through the error its receive raises.
+        """
+        self._backend.abort(self._rank, exc)
+
     # -- point-to-point ------------------------------------------------------
 
     def send(self, obj: Any, dest: int, tag: int = 0) -> None:
@@ -184,6 +239,8 @@ class Communicator:
 
         def poll():
             with mailbox._cond:
+                if mailbox._aborted is not None:
+                    raise MPIError(mailbox._aborted)
                 for i, (src, mtag, payload) in enumerate(mailbox._messages):
                     if source not in (ANY_SOURCE, src) or \
                             tag not in (ANY_TAG, mtag):
@@ -318,8 +375,11 @@ def mpirun(fn: Callable[..., Any], size: int, *args: Any,
            timeout: Optional[float] = 300.0, **kwargs: Any) -> list:
     """Run ``fn(comm, *args, **kwargs)`` on ``size`` rank threads.
 
-    Returns the per-rank return values.  If any rank raises, the first
-    failure is re-raised (after all ranks finish or the timeout lapses).
+    Returns the per-rank return values.  The first rank to raise aborts
+    the communicator, so the ranks blocked on it fail fast instead of
+    waiting out ``timeout``; its error is re-raised once every rank has
+    finished (or the timeout lapses, for a rank stuck outside a
+    receive).
     """
     if size <= 0:
         raise MPIError("size must be positive")
@@ -333,6 +393,7 @@ def mpirun(fn: Callable[..., Any], size: int, *args: Any,
             results[rank] = fn(comm, *args, **kwargs)
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             errors.append((rank, exc))
+            backend.abort(rank, exc)
 
     threads = [
         threading.Thread(target=run_rank, args=(rank,), name=f"mpi-rank-{rank}",
@@ -350,6 +411,11 @@ def mpirun(fn: Callable[..., Any], size: int, *args: Any,
                 f"mpirun timed out after {timeout}s (rank deadlock?)"
             )
     if errors:
-        rank, exc = min(errors, key=lambda e: e[0])
+        # Report the error that started the abort, not one it caused.
+        # The origin's rank may belong to a split communicator, so the
+        # world rank is looked up by the exception itself.
+        origin = backend.abort_origin[1] if backend.abort_origin else None
+        rank, exc = next(((r, e) for r, e in errors if e is origin),
+                         min(errors, key=lambda e: e[0]))
         raise MPIError(f"rank {rank} failed: {exc!r}") from exc
     return results

@@ -158,17 +158,6 @@ def value_to_table(value) -> Optional[Tuple[str, int, Dict[str, Any]]]:
     return _A._BY_TYPE[type(objs[0])], count, columns
 
 
-def table_nbytes(columns: Dict[str, Any]) -> int:
-    """Approximate resident size of a column table (for LRU accounting)."""
-    total = 0
-    for col in columns.values():
-        if isinstance(col, np.ndarray):
-            total += col.nbytes
-        else:
-            total += 64 * len(col)
-    return total
-
-
 # -- wire blocks for the scan_columns projection ------------------------------
 
 
@@ -308,7 +297,6 @@ __all__ = [
     "column_plan",
     "column_from_block",
     "pack_field_column",
-    "table_nbytes",
     "to_columns",
     "value_to_table",
 ]

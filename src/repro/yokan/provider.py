@@ -5,6 +5,12 @@ One provider manages any number of named databases and is addressed by
 RPC payloads; batched operations (``put_multi``, ``get_multi``) move
 their data with RDMA-style bulk transfers, matching the paper's
 "RPC for single small objects, RDMA for large objects or batches".
+
+``scan_columns`` projections have one cache: whole packed pages, keyed
+by the full request and staled by a per-database write generation that
+every write RPC bumps once.  A repeated analysis pass is served from it
+without touching the backend; a request it misses (another field list,
+other batch boundaries) decodes every value afresh.
 """
 
 from __future__ import annotations
@@ -130,15 +136,12 @@ class ReplicaLink:
 class YokanProvider:
     """Server-side provider bound to one engine + provider id."""
 
-    #: default bound on the server-side projection cache (bytes).
-    COLUMN_CACHE_BYTES = 64 * 1024 * 1024
     #: default bound on cached, already-packed scan_columns pages.
     PAGE_CACHE_BYTES = 16 * 1024 * 1024
 
     def __init__(self, engine: Engine, provider_id: int = 0,
                  pool: Optional[Pool] = None,
                  databases: Optional[dict[str, Backend]] = None,
-                 column_cache_bytes: Optional[int] = None,
                  broker=None):
         self.engine = engine
         self.provider_id = provider_id
@@ -147,16 +150,6 @@ class YokanProvider:
         #: admission control + fair-share on tenant-tagged requests.
         self.broker = broker
         self.databases: dict[str, Backend] = dict(databases or {})
-        # Server-side projection cache: (db name, key) -> decoded column
-        # table (or None for values no column plan covers), so repeated
-        # scan_columns passes skip the per-object decode.  Entries are
-        # invalidated on any put/erase of their key and evicted LRU
-        # under a bytes bound.
-        self._column_cache: OrderedDict = OrderedDict()
-        self._column_cache_bytes = 0
-        self._column_cache_max = (self.COLUMN_CACHE_BYTES
-                                  if column_cache_bytes is None
-                                  else column_cache_bytes)
         # Whole-page cache over identical scan_columns requests (an
         # analysis re-run projects the same prefixes/fields verbatim):
         # keyed by the full request, validated against a per-database
@@ -165,7 +158,7 @@ class YokanProvider:
         self._page_cache: OrderedDict = OrderedDict()
         self._page_cache_bytes = 0
         self._page_gen: dict[str, int] = {}
-        self._column_lock = threading.Lock()
+        self._page_lock = threading.Lock()
         #: db name -> ReplicaLink forwarding acknowledged writes.
         self._replicas: dict[str, ReplicaLink] = {}
         for rpc_name in RPC_NAMES:
@@ -344,7 +337,7 @@ class YokanProvider:
             if req.trace_span is not None:
                 req.trace_span.set_tag("db", name)
             self._db(name).put(key, value)
-            self._column_invalidate(name, key)
+            self._pages_invalidate(name)
             self._forward(name, pairs=[(bytes(key), bytes(value))])
             return _ok()
         except _HANDLED_ERRORS as exc:
@@ -370,8 +363,7 @@ class YokanProvider:
                 req.trace_span.set_tag("db", name)
                 req.trace_span.set_tag("keys", len(pairs))
             count = self._db(name).put_multi(pairs)
-            for key, _value in pairs:
-                self._column_invalidate(name, key)
+            self._pages_invalidate(name)
             self._forward(name, pairs=pairs)
             return _ok(count)
         except _HANDLED_ERRORS as exc:
@@ -445,47 +437,15 @@ class YokanProvider:
 
     # -- server-side columnar projection -------------------------------------
 
-    def _column_invalidate(self, name: str, key: bytes) -> None:
-        with self._column_lock:
-            entry = self._column_cache.pop((name, bytes(key)), None)
-            if entry is not None and entry[1] is not None:
-                self._column_cache_bytes -= entry[0]
-            self._page_gen[name] = self._page_gen.get(name, 0) + 1
+    def _pages_invalidate(self, name: str) -> None:
+        """Stale every cached page of ``name``; call after the write.
 
-    def _column_table(self, name: str, key: bytes, value):
-        """The cached column table for ``(name, key)``, decoding on miss.
-
-        Returns ``(count, columns)`` covering every field of the
-        element class, or ``None`` when the value is not columnar
-        (negative results are cached too, so raw values are not
-        re-decoded on every pass).
+        A page build that read the generation before this bump stores
+        an entry that is already stale, so it can never serve bytes
+        older than the write.
         """
-        cache_key = (name, key)
-        with self._column_lock:
-            entry = self._column_cache.get(cache_key)
-            if entry is not None:
-                self._column_cache.move_to_end(cache_key)
-                return entry[1]
-        table = _columnar.value_to_table(value)
-        if table is None:
-            nbytes, entry_val = 0, None
-        else:
-            _tname, count, columns = table
-            entry_val = (count, columns)
-            nbytes = _columnar.table_nbytes(columns)
-        if nbytes > self._column_cache_max:
-            return entry_val
-        with self._column_lock:
-            old = self._column_cache.pop(cache_key, None)
-            if old is not None and old[1] is not None:
-                self._column_cache_bytes -= old[0]
-            self._column_cache[cache_key] = (nbytes, entry_val)
-            self._column_cache_bytes += nbytes
-            while self._column_cache_bytes > self._column_cache_max:
-                _k, (evicted, val) = self._column_cache.popitem(last=False)
-                if val is not None:
-                    self._column_cache_bytes -= evicted
-        return entry_val
+        with self._page_lock:
+            self._page_gen[name] = self._page_gen.get(name, 0) + 1
 
     def _rpc_scan_columns(self, req: RPCRequest) -> bytes:
         """Materialize requested columns server-side; push one page back.
@@ -496,6 +456,9 @@ class YokanProvider:
         planned products, only the requested columns travel; anything
         else travels row-wise in place (a per-prefix ``raw`` status) so
         the projection can never change what the client reconstructs.
+        An identical earlier request is answered from the page cache
+        (span tag ``page_cached``) unless a write has bumped the
+        database's generation since.
         """
         try:
             name, blob, lens, suffix, fields, bulk, capacity = \
@@ -507,7 +470,7 @@ class YokanProvider:
             # never re-slices the individual keys.
             page_key = (name, suffix, bytes(blob), bytes(lens),
                         tuple(fields))
-            with self._column_lock:
+            with self._page_lock:
                 gen = self._page_gen.get(name, 0)
                 entry = self._page_cache.get(page_key)
                 if entry is not None and entry[0] == gen:
@@ -526,11 +489,11 @@ class YokanProvider:
                     except KeyNotFound:
                         statuses.append(None)
                         continue
-                    table = self._column_table(name, key, value)
+                    table = _columnar.value_to_table(value)
                     if table is None:
                         statuses.append(value)
                         continue
-                    count, columns = table
+                    _tname, count, columns = table
                     if any(f not in columns for f in fields):
                         # Unknown field for this class: fall back
                         # row-wise so the client evaluates per object
@@ -550,7 +513,7 @@ class YokanProvider:
                 # later pass rebuilds from the new bytes.
                 nbytes = len(buffer) + len(blob) + len(lens) + 64
                 if nbytes <= self.PAGE_CACHE_BYTES:
-                    with self._column_lock:
+                    with self._page_lock:
                         old = self._page_cache.pop(page_key, None)
                         if old is not None:
                             self._page_cache_bytes -= old[4]
@@ -585,7 +548,7 @@ class YokanProvider:
         try:
             name, key = loads(req.payload)
             self._db(name).erase(key)
-            self._column_invalidate(name, key)
+            self._pages_invalidate(name)
             self._forward(name, erase_keys=[bytes(key)])
             return _ok()
         except _HANDLED_ERRORS as exc:
@@ -596,8 +559,7 @@ class YokanProvider:
             name, keys = loads(req.payload)
             keys = list(keys)
             erased = self._db(name).erase_multi(keys)
-            for key in keys:
-                self._column_invalidate(name, key)
+            self._pages_invalidate(name)
             self._forward(name, erase_keys=[bytes(k) for k in keys])
             return _ok(erased)
         except _HANDLED_ERRORS as exc:
@@ -650,10 +612,7 @@ class YokanProvider:
             erase_keys = [bytes(k) for k in erase_keys]
             stored = db.put_multi(pairs) if pairs else 0
             removed = db.erase_multi(erase_keys) if erase_keys else 0
-            for key, _value in pairs:
-                self._column_invalidate(name, key)
-            for key in erase_keys:
-                self._column_invalidate(name, key)
+            self._pages_invalidate(name)
             if req.trace_span is not None:
                 req.trace_span.set_tag("db", name)
                 req.trace_span.set_tag("keys", len(pairs) + len(erase_keys))

@@ -24,6 +24,7 @@ from repro.hepnos.column_block import ABSENT
 from repro.hepnos.keys import product_key
 from repro.mercury import Fabric
 from repro.mercury.fabric import FaultModel
+from repro.monitor.tracing import trace_session
 from repro.nova import GeneratorConfig, generate_file_set, nue_candidate_cut
 from repro.nova.cafana import Cut
 from repro.serial import dumps, loads, register_type, serializable
@@ -214,18 +215,49 @@ class TestServerProjection:
         missing = [i for i, s in enumerate(block.present) if s is ABSENT]
         assert missing == [len(keys) - 1]
 
-    def test_column_cache_counts_second_load(self, datastore):
+    def _assert_fields(self, block, stored, keys, fields):
+        for i, key in enumerate(keys):
+            lo, hi = block.event_rows(i)
+            for f in fields:
+                assert (block.column(f)[lo:hi].tolist()
+                        == [getattr(o, f) for o in stored[key]])
+
+    def test_repeat_projection_served_from_page_cache(self, datastore):
         stored = self._populate(datastore)
         keys = sorted(stored)
         fields = ["e", "n"]
+        with trace_session() as tracer:
+            first = datastore.load_products_columnar(
+                keys, vector_of(Hit), fields, label="hits")
+            cold = tracer.collector.find("yokan.provider.scan_columns")
+            tracer.collector.clear()
+            second = datastore.load_products_columnar(
+                keys, vector_of(Hit), fields, label="hits")
+            warm = tracer.collector.find("yokan.provider.scan_columns")
+        assert cold and not any(sp.tags["page_cached"] for sp in cold)
+        assert warm and all(sp.tags["page_cached"] for sp in warm)
+        for f in fields:
+            assert np.array_equal(first.column(f), second.column(f))
+        assert np.array_equal(first.offsets, second.offsets)
+        self._assert_fields(second, stored, keys, fields)
+
+    def test_page_miss_with_other_fields_decodes_afresh(self, datastore):
+        stored = self._populate(datastore)
+        keys = sorted(stored)
         datastore.load_products_columnar(
-            keys, vector_of(Hit), fields, label="hits")
-        hits0 = datastore.metrics.counter("hepnos.column_cache.hits").value
+            keys, vector_of(Hit), ["e", "n"], label="hits")
+        with trace_session() as tracer:
+            block = datastore.load_products_columnar(
+                keys, vector_of(Hit), ["good", "e"], label="hits")
+            spans = tracer.collector.find("yokan.provider.scan_columns")
+        assert spans and not any(sp.tags["page_cached"] for sp in spans)
+        self._assert_fields(block, stored, keys, ["good", "e"])
+
+    def test_empty_projection_returns_empty_block(self, datastore):
         block = datastore.load_products_columnar(
-            keys, vector_of(Hit), fields, label="hits")
-        hits1 = datastore.metrics.counter("hepnos.column_cache.hits").value
-        assert hits1 - hits0 >= len(keys)
-        assert block.rows == sum(len(v) for v in stored.values())
+            [], vector_of(Hit), ["e"], label="hits")
+        assert block.rows == 0 and block.present == [] and not block.raw
+        assert block.column("e").size == 0
 
     def test_server_cache_invalidated_on_overwrite(self, datastore):
         stored = self._populate(datastore, events=3)
@@ -233,17 +265,19 @@ class TestServerProjection:
         block = datastore.load_products_columnar(
             keys, vector_of(Hit), ["e"], label="hits")
         before = block.column("e").tolist()
-        # Overwrite one product; both the server projection cache and
-        # the client column cache must reflect the new bytes.
+        # Overwrite one product; the provider page cache must not serve
+        # the pre-write page.
         ds = datastore["columnar/proj"]
         event = ds[1][1][0]
         event.store([Hit(e=99.0)], label="hits")
+        stored[keys[0]] = [Hit(e=99.0)]
         assert event.key == keys[0]
         block = datastore.load_products_columnar(
             keys, vector_of(Hit), ["e"], label="hits")
         after = block.column("e").tolist()
         assert after != before
         assert after[: block.event_rows(0)[1]] == [99.0]
+        self._assert_fields(block, stored, keys, ["e"])
 
     def test_projection_ships_fewer_bytes(self, datastore):
         """A 3-of-8 field projection must ship <= 25% of packed bytes."""

@@ -14,6 +14,7 @@ from repro.hepnos import (
     ProductCache,
     ProductCacheOptions,
     WriteBatch,
+    product_type_name,
     vector_of,
 )
 from repro.serial import serializable
@@ -192,10 +193,18 @@ class TestDataStoreCache:
             for i in range(8):
                 event = subrun.create_event(i, batch=batch)
                 event.store(Hit(float(i)), label="h", batch=batch)
+                event.store([Hit(float(i))], label="v", batch=batch)
         keys = [ev.key for ev in subrun]
         out = datastore.load_products_bulk(keys, Hit, label="h")
         assert [h.adc for h in out] == [float(i) for i in range(8)]
-        # Scan resistance: the streaming load inserted nothing.
+        packed_out = datastore.load_products_packed(keys, [(Hit, "h")])
+        assert packed_out[(product_type_name(Hit), "h")] == out
+        for _ in range(2):
+            block = datastore.load_products_columnar(
+                keys, vector_of(Hit), ["adc"], label="v")
+            assert block.column("adc").tolist() == [float(i) for i in range(8)]
+        # Scan resistance: no streaming load (bulk, packed, columnar)
+        # inserted anything.
         assert len(datastore._product_cache) == 0
 
 

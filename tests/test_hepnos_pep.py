@@ -1,10 +1,11 @@
 """Tests for the ParallelEventProcessor (sequential and MPI-parallel)."""
 
 import threading
+import time
 
 import pytest
 
-from repro.errors import HEPnOSError
+from repro.errors import HEPnOSError, MPIError
 from repro.hepnos import (
     ParallelEventProcessor,
     PEPOptions,
@@ -218,6 +219,51 @@ class TestParallel:
         seen, _ = self._run(datastore, ds, 2, options=PEPOptions(
             input_batch_size=16, dispatch_batch_size=4))
         assert sorted(seen) == expected
+
+    def test_callback_error_fails_fast(self, datastore, populated):
+        """A worker whose callback raises aborts the run with its own
+        error, well inside the launcher timeout (no exit-barrier hang)."""
+        ds, _ = populated
+
+        def body(comm):
+            pep = ParallelEventProcessor(
+                datastore, comm=comm,
+                options=PEPOptions(input_batch_size=16,
+                                   dispatch_batch_size=4, num_readers=1))
+
+            def handle(ev):
+                if ev.triple() == (1, 1, 7):
+                    raise ValueError("planted callback failure")
+
+            return pep.process(ds, handle)
+
+        t0 = time.monotonic()
+        with pytest.raises(MPIError, match="planted callback failure"):
+            mpirun(body, 3, timeout=20.0)
+        assert time.monotonic() - t0 < 10.0
+
+    def test_reader_error_fails_fast(self, datastore, populated):
+        """A batch load that fails on the reader reaches every rank."""
+        ds, _ = populated
+
+        def body(comm):
+            pep = ParallelEventProcessor(
+                datastore, comm=comm,
+                options=PEPOptions(input_batch_size=16,
+                                   dispatch_batch_size=4, num_readers=1))
+
+            def broken(*_args, **_kwargs):
+                raise HEPnOSError("planted load failure")
+                yield  # pragma: no cover - makes this a generator
+
+            if comm.rank == 0:
+                pep._load_batches = broken
+            return pep.process(ds, lambda ev: None)
+
+        t0 = time.monotonic()
+        with pytest.raises(MPIError, match="PEP reader failed"):
+            mpirun(body, 3, timeout=20.0)
+        assert time.monotonic() - t0 < 10.0
 
 
 class TestWorkerPipeline:

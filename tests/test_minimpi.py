@@ -29,6 +29,46 @@ class TestLauncher:
         with pytest.raises(MPIError, match="rank 1"):
             mpirun(body, 2)
 
+    def test_rank_failure_wakes_blocked_ranks(self):
+        """Ranks blocked in recv or a collective fail at once with the
+        failing rank's error instead of waiting out the timeout."""
+        def body(comm):
+            if comm.rank == 2:
+                raise ValueError("rank 2 exploded")
+            if comm.rank == 0:
+                return comm.recv(source=1, tag=5, timeout=None)
+            return comm.barrier()
+
+        t0 = Wtime()
+        with pytest.raises(MPIError, match="rank 2 failed.*rank 2 exploded"):
+            mpirun(body, 3, timeout=30.0)
+        assert Wtime() - t0 < 5.0
+
+    def test_abort_reaches_split_communicators(self):
+        def body(comm):
+            sub = comm.split(color=comm.rank % 2)
+            if comm.rank == 1:
+                raise ValueError("world rank 1 exploded")
+            return sub.recv(tag=1, timeout=None)
+
+        t0 = Wtime()
+        with pytest.raises(MPIError, match="rank 1 failed.*exploded"):
+            mpirun(body, 4, timeout=30.0)
+        assert Wtime() - t0 < 5.0
+
+    def test_explicit_abort_names_origin(self):
+        def body(comm):
+            if comm.rank == 0:
+                try:
+                    raise KeyError("bad input")
+                except KeyError as exc:
+                    comm.abort(exc)
+                    raise
+            comm.recv(source=0, tag=3, timeout=None)
+
+        with pytest.raises(MPIError, match="rank 0 failed: KeyError"):
+            mpirun(body, 3, timeout=30.0)
+
     def test_invalid_size(self):
         with pytest.raises(MPIError):
             mpirun(lambda comm: None, 0)
@@ -136,8 +176,10 @@ class TestCollectives:
             objs = [1] if comm.rank == 0 else None
             return comm.scatter(objs, root=0)
 
-        with pytest.raises(MPIError):
+        t0 = Wtime()
+        with pytest.raises(MPIError, match="scatter needs exactly"):
             mpirun(body, 2, timeout=5.0)
+        assert Wtime() - t0 < 2.5
 
     def test_gather(self):
         def body(comm):
