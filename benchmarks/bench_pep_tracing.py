@@ -80,10 +80,13 @@ def test_traced_pep_pass_collects_cross_layer_spans(benchmark, datastore,
     print(f"\n[traced] {len(collector)} spans for {N_EVENTS} events "
           f"({per_event} pep.event spans)")
     assert per_event == N_EVENTS
-    # The full cross-layer chain is present.
+    # The full cross-layer chain of the default (packed) load is
+    # present: the event listing goes through the blocking client verb,
+    # the packed scans cross the wire to the providers.
     for name in ("pep.process_batch", "pep.materialize",
-                 "hepnos.load_products_bulk", "yokan.client.get_multi",
-                 "mercury.forward", "yokan.provider.get_multi"):
+                 "hepnos.load_products_packed",
+                 "yokan.provider.load_prefix_packed",
+                 "yokan.client.list_keys", "mercury.forward"):
         assert collector.find(name), f"missing {name} spans"
 
 

@@ -35,10 +35,6 @@ from repro.yokan import DatabaseHandle, YokanClient
 
 _client_counter = itertools.count()
 
-#: marks a columnar slot as answered (its rows live in a group, or in
-#: the raw dict) so dual-read partners know not to answer it again
-_ANSWERED = object()
-
 
 class _FailoverRetry(HEPnOSError):
     """Internal marker: a read failed over to a backup; re-run the op.
@@ -48,6 +44,102 @@ class _FailoverRetry(HEPnOSError):
     operation against the redirected handle.  Never escapes the
     datastore.
     """
+
+
+class _LandingSize:
+    """EMA of wire bytes per container, presizing landing buffers.
+
+    An undersized landing buffer costs one extra round trip, so batch
+    reads ask for 1.5x the running average plus slack.
+    """
+
+    __slots__ = ("per_container",)
+
+    def __init__(self):
+        self.per_container = 0.0
+
+    def hint(self, containers: int) -> int:
+        if not self.per_container:
+            return 0  # the verb's own default until the first sample
+        return int(self.per_container * containers * 1.5) + 1024
+
+    def observe(self, total_bytes: int, containers: int) -> None:
+        sample = total_bytes / containers
+        if self.per_container:
+            self.per_container = 0.7 * self.per_container + 0.3 * sample
+        else:
+            self.per_container = sample
+
+
+def _get_multi(pkeys):
+    """Batch verb of the bulk loads: one ``get_multi`` per shard."""
+
+    def issue(handle, indices, dispatch):
+        return handle.get_multi_nb([pkeys[i] for i in indices],
+                                   dispatch=dispatch)
+
+    return issue
+
+
+def _absorb_values(out):
+    """Fill ``out`` from one shard's ``get_multi`` answer.
+
+    Scan resistance: batch loads stream each event once, so they read
+    the product cache but never populate it (inserting here would
+    evict genuinely hot products).
+    """
+
+    def absorb(indices, values):
+        for i, value in zip(indices, values):
+            if value is not None and out[i] is None:
+                out[i] = loads(value)
+
+    return absorb
+
+
+def _absorb_column_page(page, indices, fields, answered, groups,
+                        raw_objs) -> int:
+    """Absorb one shard's ``scan_columns`` page; returns its wire bytes.
+
+    Projected answers are kept whole: the page's not-yet-answered
+    slots become one group ``(event_indices, counts, columns)`` in
+    ``groups`` -- sliced out with a single fancy index per field only
+    when another shard already answered some slot.  Raw (unprojected)
+    answers land in ``raw_objs``; absent slots stay unanswered.
+    """
+    statuses, blocks = page
+    total_rows = sum(s for s in statuses if isinstance(s, int))
+    nbytes = sum(len(payload) for _, payload in blocks)
+    taken_i: list[int] = []
+    taken_counts: list[int] = []
+    spans: list[tuple[int, int]] = []
+    pos = 0
+    for j, status in enumerate(statuses):
+        if status is None:
+            continue
+        i = indices[j]
+        if isinstance(status, int):
+            if not answered[i]:
+                answered[i] = True
+                taken_i.append(i)
+                taken_counts.append(status)
+                spans.append((pos, pos + status))
+            pos += status
+        else:
+            nbytes += len(status)
+            if not answered[i]:
+                answered[i] = True
+                raw_objs[i] = loads(status)
+    if taken_i:
+        cols = [_columnar.column_from_block(dtype, payload, total_rows)
+                for dtype, payload in blocks]
+        if sum(taken_counts) == total_rows:
+            taken = dict(zip(fields, cols))
+        else:
+            sel = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
+            taken = {f: col[sel] for f, col in zip(fields, cols)}
+        groups.append((taken_i, taken_counts, taken))
+    return nbytes
 
 
 class DataStore:
@@ -62,6 +154,12 @@ class DataStore:
     section, then :func:`~repro.faults.default_client_policy`.  The
     ``metrics`` registry collects client retry/giveup counters (one is
     created per datastore when not supplied).
+
+    Every read -- point get/exists, listing page, batch load -- takes
+    one path through the read router: shard lookup from one map
+    snapshot, dual-read while a live rescale migrates, a retry when
+    the map moves under an unanswered read, and failover to a backup
+    when a replicated shard stops answering.
     """
 
     def __init__(self, fabric: Fabric, connection: ConnectionInfo,
@@ -129,10 +227,9 @@ class DataStore:
                 self.product_cache_options.max_entries,
                 metrics=self.metrics,
             )
-        #: EMA of packed bytes per container, to presize landing buffers.
-        self._packed_bytes_ema = 0.0
-        #: EMA of projected column bytes per container (columnar loads).
-        self._columnar_bytes_ema = 0.0
+        #: landing-buffer presizing for packed and columnar loads
+        self._packed_size = _LandingSize()
+        self._columnar_size = _LandingSize()
         #: optional AsyncEngine pipelining this client's I/O; the
         #: Prefetcher, the PEP, and WriteBatch pick it up automatically.
         self.async_engine = None
@@ -194,9 +291,6 @@ class DataStore:
             target.address, target.provider_id, target.name
         )
 
-    def _db(self, kind: str, parent_key: bytes) -> DatabaseHandle:
-        return self._handle(self.placement.database_for(kind, parent_key))
-
     def target_for(self, kind: str, parent_key: bytes) -> DbTarget:
         return self.placement.database_for(kind, parent_key)
 
@@ -208,7 +302,9 @@ class DataStore:
     def _with_shard_retry(self, fn):
         """Run ``fn``, retrying on epoch swaps *and* replica failover.
 
-        A :class:`ShardMapStale` re-runs under the new map.  A transport
+        Every attempt of a blocking read runs through here (see the
+        read router below), as do forwarded puts.  A
+        :class:`ShardMapStale` re-runs under the new map.  A transport
         giveup (``AddressError``/``RPCTimeout`` after the client policy
         exhausted its budget) against a shard that has a backup promotes
         the backup (see :meth:`_activate_failover`) and re-runs the
@@ -233,6 +329,173 @@ class DataStore:
                 help="operations re-run after an epoch swap or failover",
             ).inc(),
         )
+
+    # -- the read router -------------------------------------------------
+    #
+    # Every read takes one of three forms: a point read (get, exists), a
+    # listing page, or a batch fan-out.  All follow one rule.  An attempt
+    # takes one ShardMap snapshot and resolves both the current and the
+    # previous shard from it.  A miss reads current -> previous ->
+    # current again: the migrator copies before it erases, so a key
+    # moved between the first two reads is on the current shard by the
+    # third.  ShardMapStale is raised only when the map moved while
+    # something was still unanswered, and every attempt runs under
+    # _with_shard_retry, so a transport giveup fails over.
+
+    def _raise_if_moved(self, smap: ShardMap, what: str) -> None:
+        if self.placement is not smap:
+            raise ShardMapStale(
+                f"shard map advanced to epoch {self.placement.epoch} "
+                f"during {what}"
+            )
+
+    def _read_point(self, kind: str, parent_key: bytes, key: bytes,
+                    exists: bool = False):
+        """Get (or, with ``exists``, check) one key placed by its parent.
+
+        Returns the value (``True`` for an existence check), or ``None``
+        when the key is absent under a map that did not move.
+        """
+
+        def read(handle):
+            if exists:
+                return True if handle.exists(key) else None
+            try:
+                return handle.get(key)
+            except KeyNotFound:
+                return None
+
+        def attempt():
+            smap = self.placement
+            current = self._handle(smap.database_for(kind, parent_key))
+            found = read(current)
+            if found is None:
+                previous = smap.previous_database_for(kind, parent_key)
+                if previous is not None:
+                    found = read(self._handle(previous))
+                    if found is None:
+                        found = read(current)
+            if found is None:
+                self._raise_if_moved(smap, f"a {kind} read")
+            return found
+
+        return self._with_shard_retry(attempt)
+
+    def _list_page(self, kind: str, parent_key: bytes, prefix: bytes,
+                   cursor: bytes, want: int) -> list[bytes]:
+        """Up to ``want`` ordered keys under ``prefix`` after ``cursor``,
+        from the shard holding the children of ``parent_key``."""
+
+        def attempt():
+            smap = self.placement
+            current = self._handle(smap.database_for(kind, parent_key))
+            page = current.list_keys(prefix=prefix, start_after=cursor,
+                                     limit=want)
+            previous = smap.previous_database_for(kind, parent_key)
+            if previous is not None:
+                older = self._handle(previous).list_keys(
+                    prefix=prefix, start_after=cursor, limit=want)
+                newer = current.list_keys(prefix=prefix, start_after=cursor,
+                                          limit=want)
+                page = sorted(set(page) | set(older) | set(newer))[:want]
+            # A listing cannot prove a key absent: the whole page counts
+            # as unanswered.
+            self._raise_if_moved(smap, f"a {kind} listing page")
+            return page
+
+        return self._with_shard_retry(attempt)
+
+    def _iter_listing(self, kind: str, parent_key: bytes, prefix: bytes,
+                      start_after: bytes = b"", limit: int = 0,
+                      page: int = 4096) -> Iterator[bytes]:
+        """Page through :meth:`_list_page` (``limit`` 0 = all keys)."""
+        produced = 0
+        cursor = start_after
+        while True:
+            want = page if not limit else min(page, limit - produced)
+            keys_page = self._list_page(kind, parent_key, prefix, cursor,
+                                        want)
+            if not keys_page:
+                return
+            for key in keys_page:
+                yield key
+                produced += 1
+                if limit and produced >= limit:
+                    return
+            cursor = keys_page[-1]
+
+    def _plan_batch(self, smap: ShardMap, container_keys, slots,
+                    sp) -> dict[DbTarget, list[int]]:
+        """Plan half of a batch fan-out: slot indices per shard.
+
+        Each slot goes to its product's current shard and, while
+        migrating, to its previous shard too; the reads run concurrently.
+        """
+        by_target: dict[DbTarget, list[int]] = {}
+        locate = smap.strategy.product_database_for
+        previous = (smap.previous_product_database_for if smap.migrating
+                    else None)
+        for i in slots:
+            ckey = container_keys[i]
+            by_target.setdefault(locate(ckey), []).append(i)
+            if previous is not None:
+                prev = previous(ckey)
+                if prev is not None:
+                    by_target.setdefault(prev, []).append(i)
+        sp.set_tag("databases", len(by_target))
+        sp.set_tag("epoch", smap.epoch)
+        return by_target
+
+    def _issue_batch(self, plan: dict, issue, engine=None) -> list:
+        """Send ``issue(handle, indices, dispatch)`` to every planned shard.
+
+        With an :class:`AsyncEngine` the futures go through its bounded
+        in-flight window; otherwise they dispatch immediately.
+        """
+        futures = []
+        for target, indices in plan.items():
+            future = issue(self._handle(target), indices, engine is None)
+            if engine is not None:
+                engine.submit(future)
+            futures.append(future)
+        return futures
+
+    def _settle_batch(self, smap: ShardMap, container_keys, slots,
+                      plan: dict, answers: list, issue, absorb, unanswered,
+                      what: str) -> None:
+        """Settle half of a batch fan-out.
+
+        Absorbs each shard's answer (first non-absent answer wins);
+        while migrating, re-reads the still-unanswered slots from their
+        current shards, since the concurrent current and previous reads
+        can both miss a key moved between them; then checks staleness.
+        """
+        for indices, answer in zip(plan.values(), answers):
+            absorb(indices, answer)
+        if smap.migrating:
+            locate = smap.strategy.product_database_for
+            again: dict[DbTarget, list[int]] = {}
+            for i in slots:
+                if unanswered(i):
+                    again.setdefault(locate(container_keys[i]), []).append(i)
+            for indices, future in zip(again.values(),
+                                       self._issue_batch(again, issue)):
+                absorb(indices, future.wait())
+        if self.placement is not smap and any(map(unanswered, slots)):
+            self._raise_if_moved(smap, what)
+
+    def _read_batch(self, container_keys, slots, issue, absorb, unanswered,
+                    what: str, sp) -> None:
+        """Blocking batch fan-out: plan, issue, settle; retried whole."""
+
+        def attempt():
+            smap = self.placement
+            plan = self._plan_batch(smap, container_keys, slots, sp)
+            answers = [f.wait() for f in self._issue_batch(plan, issue)]
+            self._settle_batch(smap, container_keys, slots, plan, answers,
+                               issue, absorb, unanswered, what)
+
+        self._with_shard_retry(attempt)
 
     # -- replica failover -------------------------------------------------
 
@@ -340,8 +603,11 @@ class DataStore:
         return copied
 
     def _await_addresses(self, addresses, timeout: float,
-                         poll: float) -> None:
-        """Block until every address answers a probe (or raise)."""
+                         poll: float) -> int:
+        """Block until every address answers a probe (or raise).
+
+        Returns the number of (address, provider) endpoints probed.
+        """
         endpoints = sorted({
             (t.address, t.provider_id)
             for targets in self.connection.targets.values()
@@ -364,6 +630,7 @@ class DataStore:
                             f"did not come back within {timeout:.1f}s"
                         ) from None
                     time.sleep(poll)
+        return len(endpoints)
 
     def sync_service(self, checkpoint: bool = False,
                      tolerate_failures: bool = True) -> int:
@@ -395,31 +662,6 @@ class DataStore:
                 if not tolerate_failures:
                     raise
         return acked
-
-    def _previous_get(self, kind: str, parent_key: bytes,
-                      key: bytes) -> Optional[bytes]:
-        """Dual-read fallback: the pre-migration shard, then the
-        current one *again*.
-
-        The caller already missed the current shard once, but a
-        concurrent migration step may have copied the key to the
-        current shard and erased it from the old one between the two
-        reads.  Copy-before-erase guarantees that at every instant at
-        least one of the two locations holds the key, so after an
-        old-shard miss a final re-read of the current shard closes the
-        window: ``None`` here really means absent.
-        """
-        prev = self.placement.previous_database_for(kind, parent_key)
-        if prev is None:
-            return None
-        try:
-            return self._handle(prev).get(key)
-        except KeyNotFound:
-            pass
-        try:
-            return self._db(kind, parent_key).get(key)
-        except KeyNotFound:
-            return None
 
     def _put_forwarded(self, kind: str, parent_key: bytes, key: bytes,
                        value: bytes) -> None:
@@ -508,15 +750,12 @@ class DataStore:
             return cached
         parent_key = parent.encode("utf-8")
         key = keys.dataset_key(path)
-        try:
-            uuid = self._db("datasets", parent_key).get(key)
-        except KeyNotFound:
-            uuid = self._previous_get("datasets", parent_key, key)
-            if uuid is None:
-                # Deterministic identity: concurrent creators of the
-                # same path write the same value, so no atomicity needed.
-                uuid = keys.new_dataset_uuid(path)
-                self._put_forwarded("datasets", parent_key, key, uuid)
+        uuid = self._read_point("datasets", parent_key, key)
+        if uuid is None:
+            # Deterministic identity: concurrent creators of the same
+            # path write the same value, so no atomicity needed.
+            uuid = keys.new_dataset_uuid(path)
+            self._put_forwarded("datasets", parent_key, key, uuid)
         self._uuid_cache[path] = uuid
         return uuid
 
@@ -526,25 +765,11 @@ class DataStore:
         cached = self._uuid_cache.get(path)
         if cached is not None:
             return cached
-        parent_key = keys.parent_path(path).encode("utf-8")
-        key = keys.dataset_key(path)
-
-        def attempt():
-            smap = self.placement
-            try:
-                return self._db("datasets", parent_key).get(key)
-            except KeyNotFound:
-                uuid = self._previous_get("datasets", parent_key, key)
-                if uuid is not None:
-                    return uuid
-                if self.placement is not smap:
-                    raise ShardMapStale(
-                        f"shard map advanced to epoch "
-                        f"{self.placement.epoch} resolving {path!r}"
-                    ) from None
-                raise ContainerNotFound(f"no dataset {path!r}") from None
-
-        uuid = self._with_shard_retry(attempt)
+        uuid = self._read_point("datasets",
+                                keys.parent_path(path).encode("utf-8"),
+                                keys.dataset_key(path))
+        if uuid is None:
+            raise ContainerNotFound(f"no dataset {path!r}")
         self._uuid_cache[path] = uuid
         return uuid
 
@@ -574,24 +799,9 @@ class DataStore:
 
         if parent:
             parent = keys.normalize_path(parent)
-        parent_key = parent.encode("utf-8")
-        smap = self.placement
-        db = self._db("datasets", parent_key)
         prefix = (parent + "/").encode("utf-8") if parent else b""
-        entries = db.iter_keys(prefix=prefix)
-        prev = smap.previous_database_for("datasets", parent_key)
-        if prev is not None:
-            # Dual-read: merge the pre-migration shard's entries
-            # (dataset directories are small, no paging needed).
-            seen = set(db.list_keys(prefix=prefix))
-            seen |= set(self._handle(prev).list_keys(prefix=prefix))
-            # A key mid-move can be absent from both lists above
-            # (copied after the first, erased before the second);
-            # copy-before-erase means a final re-read of the current
-            # shard closes that window.
-            seen |= set(db.list_keys(prefix=prefix))
-            entries = iter(sorted(seen))
-        for key in entries:
+        for key in self._iter_listing("datasets", parent.encode("utf-8"),
+                                      prefix):
             path = key.decode("utf-8")
             tail = path[len(parent) + 1 :] if parent else path
             if "/" in tail:
@@ -610,27 +820,7 @@ class DataStore:
             self._put_forwarded(kind, parent_key, key, b"")
 
     def container_exists(self, kind: str, parent_key: bytes, key: bytes) -> bool:
-        def attempt():
-            smap = self.placement
-            if self._db(kind, parent_key).exists(key):
-                return True
-            prev = smap.previous_database_for(kind, parent_key)
-            if prev is not None:
-                if self._handle(prev).exists(key):
-                    return True
-                # A migration step may have moved the key between the
-                # two checks (copy-before-erase): re-check the current
-                # shard before concluding absence.
-                if self._db(kind, parent_key).exists(key):
-                    return True
-            if self.placement is not smap:
-                raise ShardMapStale(
-                    f"shard map advanced to epoch {self.placement.epoch} "
-                    f"during a {kind} existence check"
-                )
-            return False
-
-        return self._with_shard_retry(attempt)
+        return bool(self._read_point(kind, parent_key, key, exists=True))
 
     def list_child_keys(self, kind: str, parent_key: bytes,
                         start_after: bytes = b"", limit: int = 0,
@@ -641,46 +831,8 @@ class DataStore:
         colocate); while a migration is in flight, each page merges the
         old and new shards so children split across them are not missed.
         """
-        produced = 0
-        cursor = start_after
-        while True:
-            want = page if not limit else min(page, limit - produced)
-            keys_page = self._with_shard_retry(
-                lambda: self._list_page(kind, parent_key, cursor, want))
-            if not keys_page:
-                return
-            for key in keys_page:
-                yield key
-                produced += 1
-                if limit and produced >= limit:
-                    return
-            cursor = keys_page[-1]
-
-    def _list_page(self, kind: str, parent_key: bytes, cursor: bytes,
-                   want: int) -> list[bytes]:
-        """One dual-read listing page, checked against epoch swaps."""
-        smap = self.placement
-        merged = self._db(kind, parent_key).list_keys(
-            prefix=parent_key, start_after=cursor, limit=want)
-        prev = smap.previous_database_for(kind, parent_key)
-        if prev is not None:
-            older = self._handle(prev).list_keys(
-                prefix=parent_key, start_after=cursor, limit=want)
-            # A migration step may have moved keys between the two
-            # pages (copy-before-erase): such a key is absent from the
-            # first current-shard page and already erased from the old
-            # one.  Re-running the current-shard page last closes the
-            # window -- any key moved mid-listing is on the current
-            # shard by now.
-            newer = self._db(kind, parent_key).list_keys(
-                prefix=parent_key, start_after=cursor, limit=want)
-            merged = sorted(set(merged) | set(older) | set(newer))[:want]
-        if self.placement is not smap:
-            raise ShardMapStale(
-                f"shard map advanced to epoch {self.placement.epoch} "
-                f"during a {kind} listing page"
-            )
-        return merged
+        return self._iter_listing(kind, parent_key, parent_key, start_after,
+                                  limit, page)
 
     # -- products ---------------------------------------------------------
 
@@ -725,120 +877,91 @@ class DataStore:
                     sp.set_tag("cache", "hit")
                     return loads(cached)
                 sp.set_tag("cache", "miss")
-            smap0 = self.placement
-            sp.set_tag("epoch", smap0.epoch)
-            sp.set_tag("shard", smap0.shard_id(
-                "products", smap0.product_database_for(container_key)))
-
-            def attempt():
-                smap = self.placement
-                try:
-                    return self._product_db(container_key).get(key)
-                except KeyNotFound:
-                    value = self._previous_get("products", container_key, key)
-                    if value is not None:
-                        return value
-                    if self.placement is not smap:
-                        raise ShardMapStale(
-                            f"shard map advanced to epoch "
-                            f"{self.placement.epoch} during a product load"
-                        ) from None
-                    raise ProductNotFound(
-                        f"no product label={label!r} type={tname!r} "
-                        f"in container"
-                    ) from None
-
-            value = self._with_shard_retry(attempt)
+            smap = self.placement
+            sp.set_tag("epoch", smap.epoch)
+            sp.set_tag("shard", smap.shard_id(
+                "products", smap.product_database_for(container_key)))
+            value = self._read_point("products", container_key, key)
+            if value is None:
+                raise ProductNotFound(
+                    f"no product label={label!r} type={tname!r} in container")
             if cache is not None:
                 cache.put(key, value)
         return loads(value)
+
+    def product_exists(self, container_key: bytes, product_type,
+                       label: str = "") -> bool:
+        key = keys.product_key(container_key, label,
+                               product_type_name(product_type))
+        return bool(self._read_point("products", container_key, key,
+                                     exists=True))
 
     def load_products_bulk(self, container_keys, product_type, label: str = ""):
         """Batched product load for many containers (one RPC per database).
 
         Returns a list aligned with ``container_keys``; missing products
-        are ``None``.  This is the fast path the ParallelEventProcessor
-        readers use for prefetching.
+        are ``None``.  Cache hits are served locally; the misses fan out
+        as one concurrent ``get_multi`` per involved database.
         """
         container_keys = list(container_keys)
         tname = product_type_name(product_type)
+        pkeys = [keys.product_key(ckey, label, tname) for ckey in container_keys]
+        out = [None] * len(container_keys)
+        slots = range(len(container_keys))
         cache = self._product_cache
         with _tracing.span("hepnos.load_products_bulk", type=tname,
                            label=label, containers=len(container_keys)) as sp:
-            return self._with_shard_retry(
-                lambda: self._load_products_bulk_once(
-                    container_keys, tname, label, cache, sp))
-
-    def _load_products_bulk_once(self, container_keys, tname, label,
-                                 cache, sp):
-        smap = self.placement
-        out = [None] * len(container_keys)
-        by_target: dict[DbTarget, list[tuple[int, bytes]]] = {}
-        fetched: list[tuple[int, bytes]] = []
-        hits = 0
-        for i, ckey in enumerate(container_keys):
-            pkey = keys.product_key(ckey, label, tname)
             if cache is not None:
-                cached = cache.get(pkey)
-                if cached is not None:
-                    out[i] = loads(cached)
-                    hits += 1
-                    continue
-            target = smap.product_database_for(ckey)
-            by_target.setdefault(target, []).append((i, pkey))
-            fetched.append((i, pkey))
-        sp.set_tag("databases", len(by_target))
-        sp.set_tag("epoch", smap.epoch)
-        if cache is not None:
-            sp.set_tag("cache_hits", hits)
-        for target, entries in by_target.items():
-            handle = self._handle(target)
-            values = handle.get_multi([pkey for _, pkey in entries])
-            for (i, pkey), value in zip(entries, values):
-                # Scan resistance: batch loads stream each event once,
-                # so inserting here would evict genuinely hot products.
-                # Batch paths read the cache but never populate it.
-                out[i] = loads(value) if value is not None else None
-        if smap.migrating:
-            # Dual-read: refetch the misses from the pre-migration
-            # shards (the migrator copies before it erases, so one of
-            # the two locations always has every stored product).
-            by_prev: dict[DbTarget, list[tuple[int, bytes]]] = {}
-            for i, pkey in fetched:
-                if out[i] is None:
-                    prev = smap.previous_product_database_for(
-                        container_keys[i])
-                    if prev is not None:
-                        by_prev.setdefault(prev, []).append((i, pkey))
-            for target, entries in by_prev.items():
-                values = self._handle(target).get_multi(
-                    [pkey for _, pkey in entries])
-                for (i, pkey), value in zip(entries, values):
-                    if value is not None:
-                        out[i] = loads(value)
-            sp.set_tag("fallback_databases", len(by_prev))
-            # A migration step may have moved a key between the first
-            # read and the fallback (copy-before-erase): re-fetch the
-            # remaining misses from the current shards before treating
-            # them as genuinely absent.
-            by_cur: dict[DbTarget, list[tuple[int, bytes]]] = {}
-            for i, pkey in fetched:
-                if out[i] is None:
-                    target = smap.product_database_for(container_keys[i])
-                    by_cur.setdefault(target, []).append((i, pkey))
-            for target, entries in by_cur.items():
-                values = self._handle(target).get_multi(
-                    [pkey for _, pkey in entries])
-                for (i, pkey), value in zip(entries, values):
-                    if value is not None:
-                        out[i] = loads(value)
-        if self.placement is not smap and any(
-                out[i] is None for i, _ in fetched):
-            raise ShardMapStale(
-                f"shard map advanced to epoch {self.placement.epoch} "
-                f"during a bulk product load"
-            )
-        return out
+                slots = []
+                for i, pkey in enumerate(pkeys):
+                    cached = cache.get(pkey)
+                    if cached is None:
+                        slots.append(i)
+                    else:
+                        out[i] = loads(cached)
+                sp.set_tag("cache_hits", len(pkeys) - len(slots))
+            self._read_batch(container_keys, slots, _get_multi(pkeys),
+                             _absorb_values(out), lambda i: out[i] is None,
+                             "a bulk product load", sp)
+            return out
+
+    def load_products_bulk_nb(self, container_keys, product_type,
+                              label: str = ""):
+        """Non-blocking :meth:`load_products_bulk` (no cache lookup).
+
+        Plans and issues one ``get_multi_nb`` per involved database and
+        returns a :class:`~repro.hepnos.FutureGroup` whose ``wait()``
+        settles the fan-out into the same aligned list the blocking
+        call would.  When an :class:`AsyncEngine` is attached the
+        per-database futures go through its bounded in-flight window;
+        otherwise they dispatch immediately.  ``wait()`` cannot replay
+        itself: a stale map (:class:`ShardMapStale`) or a transport
+        giveup surfaces from it as a retryable error, and the PEP's
+        pipelined reader re-runs such a page through the blocking loads.
+        """
+        from repro.hepnos.async_engine import FutureGroup
+
+        container_keys = list(container_keys)
+        tname = product_type_name(product_type)
+        pkeys = [keys.product_key(ckey, label, tname) for ckey in container_keys]
+        out = [None] * len(container_keys)
+        slots = range(len(container_keys))
+        issue = _get_multi(pkeys)
+        absorb = _absorb_values(out)
+        with _tracing.span("hepnos.load_products_bulk_nb", type=tname,
+                           label=label, containers=len(container_keys)) as sp:
+            smap = self.placement
+            plan = self._plan_batch(smap, container_keys, slots, sp)
+
+            def assemble(answers: list) -> list:
+                self._settle_batch(smap, container_keys, slots, plan, answers,
+                                   issue, absorb, lambda i: out[i] is None,
+                                   "a non-blocking bulk product load")
+                return out
+
+            return FutureGroup(
+                self._issue_batch(plan, issue, self.async_engine),
+                assemble=assemble)
 
     def load_products_packed(self, container_keys, specs):
         """Load several product specs for many containers at once.
@@ -847,8 +970,9 @@ class DataStore:
         of one ``get_multi`` per spec, each involved database serves a
         single ``load_prefix_packed`` RPC: an ordered server-side scan
         per container key returning *every* product of the event in one
-        packed bulk transfer.  Returns ``{(type_name, label): [obj or
-        None, ...]}``, each list aligned with ``container_keys``.
+        packed bulk transfer.  The per-database scans run concurrently.
+        Returns ``{(type_name, label): [obj or None, ...]}``, each list
+        aligned with ``container_keys``.
 
         Intended for *event* containers: event keys are fixed-width
         (:data:`~repro.hepnos.keys.EVENT_KEY_LEN`), so a prefix scan on
@@ -887,95 +1011,40 @@ class DataStore:
                     fetch.append(i)
             if cache is not None:
                 sp.set_tag("cache_hits", hits)
-            total_bytes = self._with_shard_retry(
-                lambda: self._load_packed_once(
-                    container_keys, resolved, fetch, want, out, sp))
+            size = self._packed_size
+            total_bytes = 0
+
+            def issue(handle, indices, dispatch):
+                return handle.load_prefix_packed_nb(
+                    [container_keys[i] for i in indices],
+                    size_hint=size.hint(len(indices)), dispatch=dispatch)
+
+            def absorb(indices, groups):
+                nonlocal total_bytes
+                for pairs in groups:
+                    for pkey, view in pairs:
+                        # Wire footprint of the pair, not just the value:
+                        # the size hint presizes whole landing buffers.
+                        total_bytes += len(pkey) + len(view) + 10
+                        slots = want.get(pkey)
+                        if slots is None:
+                            continue
+                        # Like load_products_bulk: read the cache, never
+                        # populate it.  A duplicate answer from the
+                        # other shard of a migrating pair is the same
+                        # immutable product.
+                        obj = loads(view)
+                        for si, i in slots:
+                            out[resolved[si]][i] = obj
+
+            self._read_batch(
+                container_keys, fetch, issue, absorb,
+                lambda i: any(out[spec][i] is None for spec in resolved),
+                "a packed product load", sp)
             if fetch:
-                per_container = total_bytes / len(fetch)
-                if self._packed_bytes_ema:
-                    self._packed_bytes_ema = (
-                        0.7 * self._packed_bytes_ema + 0.3 * per_container
-                    )
-                else:
-                    self._packed_bytes_ema = per_container
+                size.observe(total_bytes, len(fetch))
                 sp.set_tag("bytes", total_bytes)
             return out
-
-    def _load_packed_once(self, container_keys, resolved, fetch, want,
-                          out, sp) -> int:
-        """One packed fan-out round: concurrent per-shard scans, merged.
-
-        Each involved database gets its own ``load_prefix_packed`` RPC,
-        issued non-blocking so the shards serve them *concurrently* --
-        this is where multi-provider read scaling comes from.  During a
-        migration the pre-migration shards are scanned too (dual-read);
-        duplicate pairs are harmless because products are immutable.
-        """
-        smap = self.placement
-        by_target: dict[DbTarget, list[int]] = {}
-        migrating = smap.migrating
-        locate = smap.strategy.product_database_for
-        for i in fetch:
-            target = locate(container_keys[i])
-            by_target.setdefault(target, []).append(i)
-            if migrating:
-                prev = smap.previous_product_database_for(container_keys[i])
-                if prev is not None:
-                    by_target.setdefault(prev, []).append(i)
-        sp.set_tag("databases", len(by_target))
-        sp.set_tag("epoch", smap.epoch)
-        total_bytes = self._packed_scan_round(by_target, container_keys,
-                                              want, resolved, out)
-        if smap.migrating:
-            # The per-shard scans run concurrently, so a migration step
-            # can move an event's products after the current shard was
-            # scanned but before the old shard was (copy-before-erase
-            # leaves them visible to neither scan).  Re-scan the current
-            # shards for containers still missing a requested product.
-            retry = [i for i in fetch
-                     if any(out[spec][i] is None for spec in resolved)]
-            if retry:
-                by_cur: dict[DbTarget, list[int]] = {}
-                for i in retry:
-                    target = smap.product_database_for(container_keys[i])
-                    by_cur.setdefault(target, []).append(i)
-                total_bytes += self._packed_scan_round(
-                    by_cur, container_keys, want, resolved, out)
-        if self.placement is not smap and any(
-                out[spec][i] is None for spec in resolved for i in fetch):
-            raise ShardMapStale(
-                f"shard map advanced to epoch {self.placement.epoch} "
-                f"during a packed product load"
-            )
-        return total_bytes
-
-    def _packed_scan_round(self, by_target, container_keys, want, resolved,
-                           out) -> int:
-        """One concurrent fan-out of ``load_prefix_packed`` scans."""
-        futures = []
-        for target, indices in by_target.items():
-            hint = 0
-            if self._packed_bytes_ema:
-                hint = int(self._packed_bytes_ema * len(indices) * 1.5
-                           ) + 1024
-            futures.append(self._handle(target).load_prefix_packed_nb(
-                [container_keys[i] for i in indices], size_hint=hint))
-        total_bytes = 0
-        for future in futures:
-            for pairs in future.wait():
-                for pkey, view in pairs:
-                    # Wire footprint of the pair, not just the value:
-                    # the EMA presizes whole landing buffers.
-                    total_bytes += len(pkey) + len(view) + 10
-                    slots = want.get(pkey)
-                    if slots is None:
-                        continue
-                    # Scan resistance: like load_products_bulk, batch
-                    # loads read the cache but never populate it.
-                    obj = loads(view)
-                    for si, i in slots:
-                        out[resolved[si]][i] = obj
-        return total_bytes
 
     def load_products_columnar(self, container_keys, product_type, fields,
                                label: str = "") -> ColumnBlock:
@@ -983,19 +1052,14 @@ class DataStore:
 
         Instead of shipping whole serialized products, each involved
         database serves one ``scan_columns`` RPC that materializes only
-        the requested columns server-side; the per-shard pages merge
-        into a single :class:`~repro.hepnos.column_block.ColumnBlock`
-        aligned with ``container_keys``.  Events whose product could
-        not be projected (stored row-wise, or a field degraded) come
-        back raw and surface through the block's per-event fallback;
-        absent products occupy zero rows.  The client product cache is
-        bypassed: an identical repeated projection is served by each
-        provider's page cache.
-
-        Shard-aware exactly like :meth:`load_products_packed`: during a
-        live migration the pre-migration shards are scanned too
-        (dual-read), missing answers re-scan the current shards, and an
-        epoch swap mid-flight retries under the new map.
+        the requested columns server-side; the concurrent per-shard
+        pages merge into a single
+        :class:`~repro.hepnos.column_block.ColumnBlock` aligned with
+        ``container_keys``.  Events whose product could not be projected
+        (stored row-wise, or a field degraded) come back raw and surface
+        through the block's per-event fallback; absent products occupy
+        zero rows.  The client product cache is bypassed: an identical
+        repeated projection is served by each provider's page cache.
         """
         container_keys = list(container_keys)
         fields = [str(f) for f in fields]
@@ -1003,251 +1067,33 @@ class DataStore:
             raise HEPnOSError("columnar load needs at least one field")
         tname = product_type_name(product_type)
         suffix = label.encode("utf-8") + b"#" + tname.encode("utf-8")
+        count = len(container_keys)
+        answered = [False] * count
         groups: list = []
         raw_objs: dict[int, list] = {}
         with _tracing.span("hepnos.load_products_columnar", type=tname,
-                           label=label, containers=len(container_keys),
+                           label=label, containers=count,
                            fields=len(fields)) as sp:
             if container_keys:
-                def attempt():
-                    # A stale-map retry rebuilds every answer.
-                    groups.clear()
-                    raw_objs.clear()
-                    return self._columnar_once(
-                        container_keys, suffix, fields, groups, raw_objs, sp)
-                total_bytes = self._with_shard_retry(attempt)
-                per_container = total_bytes / len(container_keys)
-                if self._columnar_bytes_ema:
-                    self._columnar_bytes_ema = (
-                        0.7 * self._columnar_bytes_ema + 0.3 * per_container
-                    )
-                else:
-                    self._columnar_bytes_ema = per_container
+                size = self._columnar_size
+                total_bytes = 0
+
+                def issue(handle, indices, dispatch):
+                    return handle.scan_columns_nb(
+                        [container_keys[i] for i in indices], suffix, fields,
+                        size_hint=size.hint(len(indices)), dispatch=dispatch)
+
+                def absorb(indices, page):
+                    nonlocal total_bytes
+                    total_bytes += _absorb_column_page(
+                        page, indices, fields, answered, groups, raw_objs)
+
+                self._read_batch(container_keys, range(count), issue, absorb,
+                                 lambda i: not answered[i],
+                                 "a columnar product load", sp)
+                size.observe(total_bytes, count)
                 sp.set_tag("bytes", total_bytes)
-            return ColumnBlock.from_groups(
-                fields, len(container_keys), groups, raw_objs)
-
-    def _columnar_once(self, container_keys, suffix, fields, groups,
-                       raw_objs, sp) -> int:
-        """One columnar fan-out round: concurrent per-shard projections."""
-        smap = self.placement
-        # Fresh answers per round, so dual-read merging ("first
-        # non-absent wins") starts clean under the new map.
-        results: list = [None] * len(container_keys)
-        by_target: dict[DbTarget, list[int]] = {}
-        migrating = smap.migrating
-        locate = smap.strategy.product_database_for
-        for i, ckey in enumerate(container_keys):
-            target = locate(ckey)
-            by_target.setdefault(target, []).append(i)
-            if migrating:
-                prev = smap.previous_product_database_for(ckey)
-                if prev is not None:
-                    by_target.setdefault(prev, []).append(i)
-        sp.set_tag("databases", len(by_target))
-        sp.set_tag("epoch", smap.epoch)
-        total_bytes = self._columnar_scan_round(
-            by_target, container_keys, suffix, fields, results,
-            groups, raw_objs)
-        if smap.migrating:
-            # Same window as the packed path: a migration step can move
-            # an event's product between the two concurrent scans
-            # (copy-before-erase leaves it visible to neither).  Re-scan
-            # the current shards for containers still unanswered.
-            retry = [i for i, r in enumerate(results) if r is None]
-            if retry:
-                by_cur: dict[DbTarget, list[int]] = {}
-                for i in retry:
-                    target = smap.product_database_for(container_keys[i])
-                    by_cur.setdefault(target, []).append(i)
-                total_bytes += self._columnar_scan_round(
-                    by_cur, container_keys, suffix, fields, results,
-                    groups, raw_objs)
-        if self.placement is not smap and None in results:
-            raise ShardMapStale(
-                f"shard map advanced to epoch {self.placement.epoch} "
-                f"during a columnar product load"
-            )
-        return total_bytes
-
-    def _columnar_scan_round(self, by_target, container_keys, suffix,
-                             fields, results, groups, raw_objs) -> int:
-        """One concurrent fan-out of ``scan_columns`` projections.
-
-        Projected answers are kept whole: per scan, the unanswered
-        slots become one group ``(event_indices, counts, columns)``
-        appended to ``groups`` -- sliced out with a single fancy index
-        per field only when a dual-read partner already answered some
-        slot.  ``results`` tracks which slots are answered so the
-        "first non-absent wins" merge still holds under migration.
-        """
-        futures = []
-        for target, indices in by_target.items():
-            hint = 0
-            if self._columnar_bytes_ema:
-                hint = int(self._columnar_bytes_ema * len(indices) * 1.5
-                           ) + 1024
-            futures.append((indices, self._handle(target).scan_columns_nb(
-                [container_keys[i] for i in indices], suffix, fields,
-                size_hint=hint)))
-        total_bytes = 0
-        for indices, future in futures:
-            statuses, blocks = future.wait()
-            total_rows = sum(s for s in statuses if isinstance(s, int))
-            total_bytes += sum(len(payload) for _, payload in blocks)
-            taken_i: list[int] = []
-            taken_counts: list[int] = []
-            spans: list[tuple[int, int]] = []
-            pos = 0
-            for j, status in enumerate(statuses):
-                if status is None:
-                    # Absent from this shard; a dual-read partner may
-                    # still answer, so leave the slot undecided.
-                    continue
-                i = indices[j]
-                if isinstance(status, int):
-                    if results[i] is None:
-                        results[i] = _ANSWERED
-                        taken_i.append(i)
-                        taken_counts.append(status)
-                        spans.append((pos, pos + status))
-                    pos += status
-                else:
-                    total_bytes += len(status)
-                    if results[i] is None:
-                        results[i] = _ANSWERED
-                        raw_objs[i] = loads(status)
-            if not taken_i:
-                continue
-            cols = [_columnar.column_from_block(dtype, payload, total_rows)
-                    for dtype, payload in blocks]
-            if sum(taken_counts) == total_rows:
-                taken = dict(zip(fields, cols))
-            else:
-                sel = np.concatenate(
-                    [np.arange(lo, hi) for lo, hi in spans])
-                taken = {f: col[sel] for f, col in zip(fields, cols)}
-            groups.append((taken_i, taken_counts, taken))
-        return total_bytes
-
-    def load_products_bulk_nb(self, container_keys, product_type,
-                              label: str = ""):
-        """Non-blocking :meth:`load_products_bulk`.
-
-        Issues one ``get_multi_nb`` per involved database and returns a
-        :class:`~repro.hepnos.FutureGroup` whose ``wait()`` yields the
-        same aligned list the blocking call would -- missing products
-        ``None``, values deserialized.  When an :class:`AsyncEngine` is
-        attached the per-database futures go through its bounded
-        in-flight window; otherwise they dispatch immediately.
-        """
-        from repro.hepnos.async_engine import FutureGroup
-
-        container_keys = list(container_keys)
-        tname = product_type_name(product_type)
-        engine = self.async_engine
-        with _tracing.span("hepnos.load_products_bulk_nb", type=tname,
-                           label=label, containers=len(container_keys)) as sp:
-            smap = self.placement
-            by_target: dict[DbTarget, list[tuple[int, bytes]]] = {}
-            for i, ckey in enumerate(container_keys):
-                target = smap.product_database_for(ckey)
-                pkey = keys.product_key(ckey, label, tname)
-                by_target.setdefault(target, []).append((i, pkey))
-            sp.set_tag("databases", len(by_target))
-            sp.set_tag("epoch", smap.epoch)
-            slots = [entries for entries in by_target.values()]
-
-            def assemble(per_db_values: list) -> list:
-                out = [None] * len(container_keys)
-                missing: list[tuple[int, bytes]] = []
-                for entries, values in zip(slots, per_db_values):
-                    for (i, pkey), value in zip(entries, values):
-                        out[i] = loads(value) if value is not None else None
-                        if value is None:
-                            missing.append((i, pkey))
-                if missing and smap.migrating:
-                    # Dual-read at retirement: blocking refetch of the
-                    # misses from the pre-migration shards.
-                    by_prev: dict[DbTarget, list[tuple[int, bytes]]] = {}
-                    for i, pkey in missing:
-                        prev = smap.previous_product_database_for(
-                            container_keys[i])
-                        if prev is not None:
-                            by_prev.setdefault(prev, []).append((i, pkey))
-                    for prev, entries in by_prev.items():
-                        values = self._handle(prev).get_multi(
-                            [pkey for _, pkey in entries])
-                        for (i, _), value in zip(entries, values):
-                            if value is not None:
-                                out[i] = loads(value)
-                    # Copy-before-erase: a key moved between the first
-                    # read and the fallback is on the current shard by
-                    # now -- re-fetch remaining misses from there.
-                    by_cur: dict[DbTarget, list[tuple[int, bytes]]] = {}
-                    for i, pkey in missing:
-                        if out[i] is None:
-                            target = smap.product_database_for(
-                                container_keys[i])
-                            by_cur.setdefault(target, []).append((i, pkey))
-                    for target, entries in by_cur.items():
-                        values = self._handle(target).get_multi(
-                            [pkey for _, pkey in entries])
-                        for (i, _), value in zip(entries, values):
-                            if value is not None:
-                                out[i] = loads(value)
-                if self.placement is not smap and any(
-                        out[i] is None for i, _ in missing):
-                    # Surfaces from wait() as a retryable error; callers
-                    # (PEP readers, prefetcher) re-issue under the new map.
-                    raise ShardMapStale(
-                        f"shard map advanced to epoch "
-                        f"{self.placement.epoch} during a non-blocking "
-                        f"bulk product load"
-                    )
-                return out
-
-            group = FutureGroup(assemble=assemble)
-            for target, entries in by_target.items():
-                handle = self._handle(target)
-                future = handle.get_multi_nb(
-                    [pkey for _, pkey in entries],
-                    dispatch=engine is None,
-                )
-                if engine is not None:
-                    engine.submit(future)
-                group.add(future)
-            return group
-
-    def product_exists(self, container_key: bytes, product_type,
-                       label: str = "") -> bool:
-        tname = product_type_name(product_type)
-        key = keys.product_key(container_key, label, tname)
-
-        def attempt():
-            smap = self.placement
-            if self._product_db(container_key).exists(key):
-                return True
-            prev = smap.previous_product_database_for(container_key)
-            if prev is not None:
-                if self._handle(prev).exists(key):
-                    return True
-                # Copy-before-erase: a product moved between the two
-                # checks is on the current shard by now -- re-check it
-                # before concluding absence.
-                if self._product_db(container_key).exists(key):
-                    return True
-            if self.placement is not smap:
-                raise ShardMapStale(
-                    f"shard map advanced to epoch {self.placement.epoch} "
-                    f"during a product existence check"
-                )
-            return False
-
-        return self._with_shard_retry(attempt)
-
-    def _product_db(self, container_key: bytes) -> DatabaseHandle:
-        return self._handle(self.placement.product_database_for(container_key))
+            return ColumnBlock.from_groups(fields, count, groups, raw_objs)
 
     # -- misc ---------------------------------------------------------------
 
@@ -1260,29 +1106,11 @@ class DataStore:
         probes immediately.
         """
         self._handles.clear()
-        endpoints = sorted({
-            (t.address, t.provider_id)
-            for targets in self.connection.targets.values()
-            for t in targets
-        })
-        probe = RetryPolicy.none()
-        deadline = time.monotonic() + timeout
-        with _tracing.span("hepnos.reconnect", endpoints=len(endpoints)):
-            for address, provider_id in endpoints:
-                while True:
-                    try:
-                        probe_client = YokanClient(self.engine,
-                                                   retry_policy=probe)
-                        probe_client.list_databases(address, provider_id)
-                        break
-                    except RETRYABLE_ERRORS:
-                        if time.monotonic() >= deadline:
-                            raise HEPnOSError(
-                                f"service at {address} (provider "
-                                f"{provider_id}) did not come back within "
-                                f"{timeout:.1f}s"
-                            ) from None
-                        time.sleep(poll)
+        addresses = {t.address for targets in self.connection.targets.values()
+                     for t in targets}
+        with _tracing.span("hepnos.reconnect") as sp:
+            sp.set_tag("endpoints",
+                       self._await_addresses(addresses, timeout, poll))
 
     def adopt(self, connection: ConnectionInfo) -> None:
         """Switch to a new service layout (after an offline rescale).

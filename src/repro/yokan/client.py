@@ -266,89 +266,6 @@ class DatabaseHandle:
             # the individual values are materialized as bytes.
             return loads(memoryview(buffer)[:nbytes])
 
-    def load_prefix_packed(self, prefixes: Sequence[bytes],
-                           size_hint: int = 0
-                           ) -> list[list[Tuple[bytes, memoryview]]]:
-        """Fetch *all* pairs under each prefix: one RPC, one RDMA push.
-
-        Returns one group per prefix, in request order; values are
-        zero-copy ``memoryview`` slices of the landing buffer (the views
-        pin it, copy if you need the bytes to outlive the result).  The
-        packed buffer's CRC is verified inside the retry loop, so a
-        corrupted push re-issues the RPC; an undersized landing buffer
-        costs one retry round-trip with the provider's requested size.
-        """
-        prefixes = [bytes(p) for p in prefixes]
-        if not prefixes:
-            return []
-        capacity = size_hint or (4096 * len(prefixes))
-        while True:
-            buffer = bytearray(capacity)
-            bulk = self._engine.expose(buffer, Bulk.READ_WRITE)
-
-            def check(result, _buffer=buffer):
-                if isinstance(result, _Retry):
-                    return
-                _ngroups, nbytes, crc = result
-                wire.verify_bulk(memoryview(_buffer)[:nbytes], crc,
-                                 "load_prefix_packed landing buffer")
-
-            result = self._call(
-                "yokan.load_prefix_packed",
-                (self.name, prefixes, bulk, capacity),
-                prefixes=len(prefixes), _validate=check,
-            )
-            if isinstance(result, _Retry):
-                capacity = result.needed
-                continue
-            ngroups, nbytes, _crc = result
-            return packed.unpack_groups(memoryview(buffer)[:nbytes], ngroups)
-
-    def scan_columns(self, prefixes: Sequence[bytes], suffix: bytes,
-                     fields: Sequence[str], size_hint: int = 0
-                     ) -> Tuple[list, list]:
-        """Server-side projection: fetch only ``fields`` of each product.
-
-        For every ``prefix + suffix`` product key the provider decodes
-        the stored value and ships just the requested columns,
-        concatenated per field into one CRC-checked page
-        (:func:`repro.yokan.packed.unpack_column_page`).  Returns
-        ``(statuses, blocks)``: one status per prefix (``None`` absent,
-        row count when columnar, raw value ``memoryview`` fallback) and
-        one ``(dtype_str, payload)`` block per field.  Values without a
-        column plan travel row-wise, so projection narrows the data but
-        never changes it.
-        """
-        prefixes = [bytes(p) for p in prefixes]
-        fields = [str(f) for f in fields]
-        if not prefixes:
-            return [], [("O", memoryview(b"")) for _ in fields]
-        blob, lens = packed.pack_prefixes(prefixes)
-        capacity = size_hint or (64 * len(prefixes) * max(1, len(fields)))
-        while True:
-            buffer = bytearray(capacity)
-            bulk = self._engine.expose(buffer, Bulk.READ_WRITE)
-
-            def check(result, _buffer=buffer):
-                if isinstance(result, _Retry):
-                    return
-                _nprefixes, nbytes, crc = result
-                wire.verify_bulk(memoryview(_buffer)[:nbytes], crc,
-                                 "scan_columns landing buffer")
-
-            result = self._call(
-                "yokan.scan_columns",
-                (self.name, blob, lens, bytes(suffix), fields, bulk,
-                 capacity),
-                prefixes=len(prefixes), fields=len(fields), _validate=check,
-            )
-            if isinstance(result, _Retry):
-                capacity = result.needed
-                continue
-            nprefixes, nbytes, _crc = result
-            return packed.unpack_column_page(
-                memoryview(buffer)[:nbytes], nprefixes, len(fields))
-
     # -- non-blocking operations ------------------------------------------
 
     def _future(self, issue, finish, description: str,
@@ -464,14 +381,16 @@ class DatabaseHandle:
     def load_prefix_packed_nb(self, prefixes: Sequence[bytes],
                               size_hint: int = 0, *, dispatch: bool = True
                               ) -> OperationFuture:
-        """Non-blocking :meth:`load_prefix_packed`.
+        """Fetch *all* pairs under each prefix: one RPC, one RDMA push.
 
-        Resolves to the same list of per-prefix groups.  The landing
-        buffer lives in the future's closure (the zero-copy views pin
-        it); an undersized buffer re-issues with the provider's
-        requested capacity, and the packed buffer's CRC is verified
-        inside the retirement loop.  The datastore issues one of these
-        per involved shard so packed scans fan out concurrently.
+        Resolves to one group per prefix, in request order; values are
+        zero-copy ``memoryview`` slices of the landing buffer (the views
+        pin it, copy if you need the bytes to outlive the result).  The
+        landing buffer lives in the future's closure; an undersized
+        buffer re-issues with the provider's requested capacity, and the
+        packed buffer's CRC is verified inside the retirement loop, so a
+        corrupted push re-issues the RPC.  The datastore issues one of
+        these per involved shard so packed scans fan out concurrently.
         """
         prefixes = [bytes(p) for p in prefixes]
         if not prefixes:
@@ -511,14 +430,22 @@ class DatabaseHandle:
     def scan_columns_nb(self, prefixes: Sequence[bytes], suffix: bytes,
                         fields: Sequence[str], size_hint: int = 0,
                         *, dispatch: bool = True) -> OperationFuture:
-        """Non-blocking :meth:`scan_columns`.
+        """Server-side projection: fetch only ``fields`` of each product.
 
-        Resolves to the same ``(statuses, blocks)`` page.  The landing
-        buffer lives in the future's closure (the zero-copy column
-        views pin it); an undersized buffer re-issues with the
-        provider's requested capacity, and the page CRC is verified
-        inside the retirement loop.  The datastore issues one of these
-        per involved shard so projections fan out concurrently.
+        For every ``prefix + suffix`` product key the provider decodes
+        the stored value and ships just the requested columns,
+        concatenated per field into one CRC-checked page
+        (:func:`repro.yokan.packed.unpack_column_page`).  Resolves to
+        ``(statuses, blocks)``: one status per prefix (``None`` absent,
+        row count when columnar, raw value ``memoryview`` fallback) and
+        one ``(dtype_str, payload)`` block per field.  Values without a
+        column plan travel row-wise, so projection narrows the data but
+        never changes it.  The landing buffer lives in the future's
+        closure (the zero-copy column views pin it); an undersized
+        buffer re-issues with the provider's requested capacity, and the
+        page CRC is verified inside the retirement loop.  The datastore
+        issues one of these per involved shard so projections fan out
+        concurrently.
         """
         prefixes = [bytes(p) for p in prefixes]
         fields = [str(f) for f in fields]

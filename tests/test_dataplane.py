@@ -75,7 +75,7 @@ class TestLoadPrefixPacked:
         db.put(b"ev1#a", b"alpha")
         db.put(b"ev1#b", b"beta")
         db.put(b"ev2#c", b"gamma")
-        groups = db.load_prefix_packed([b"ev1", b"ev2", b"none"])
+        groups = db.load_prefix_packed_nb([b"ev1", b"ev2", b"none"]).wait()
         assert [[(k, bytes(v)) for k, v in g] for g in groups] == [
             [(b"ev1#a", b"alpha"), (b"ev1#b", b"beta")],
             [(b"ev2#c", b"gamma")],
@@ -85,12 +85,12 @@ class TestLoadPrefixPacked:
     def test_undersized_buffer_retries_transparently(self, datastore):
         db = datastore._handle(datastore.target_for("products", b"x"))
         db.put(b"big#k", b"B" * 50000)
-        groups = db.load_prefix_packed([b"big"], size_hint=16)
+        groups = db.load_prefix_packed_nb([b"big"], size_hint=16).wait()
         assert bytes(groups[0][0][1]) == b"B" * 50000
 
     def test_empty_prefix_list(self, datastore):
         db = datastore._handle(datastore.target_for("products", b"x"))
-        assert db.load_prefix_packed([]) == []
+        assert db.load_prefix_packed_nb([]).wait() == []
 
 
 # -- ProductCache ------------------------------------------------------------

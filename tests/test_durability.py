@@ -291,6 +291,34 @@ class TestReplicationAndFailover:
         assert datastore.failed_over
         fabric.runtime.shutdown()
 
+    def _root_shard_crashed(self, tmp_path):
+        """Dataset "r" stored and replicated, then the server holding
+        the root datasets shard crashes; returns a client that has
+        never talked to the dead primary."""
+        fabric, servers, datastore = self._replicated_world(tmp_path)
+        self._populate(datastore)
+        datastore.sync_service()
+        root = datastore.target_for("datasets", b"")
+        next(s for s in servers
+             if str(s.address) == root.address).crash(lose_state=True)
+        fresh = DataStore.connect(fabric, datastore.connection,
+                                  retry_policy=failover_client_policy())
+        return fabric, fresh
+
+    def test_create_dataset_fails_over(self, tmp_path):
+        fabric, fresh = self._root_shard_crashed(tmp_path)
+        created = fresh.create_dataset("r/new")
+        assert created.path == "r/new"
+        assert fresh.failed_over
+        assert fresh.exists_dataset("r/new")
+        fabric.runtime.shutdown()
+
+    def test_dataset_listing_fails_over(self, tmp_path):
+        fabric, fresh = self._root_shard_crashed(tmp_path)
+        assert [ds.path for ds in fresh.datasets()] == ["r"]
+        assert fresh.failed_over
+        fabric.runtime.shutdown()
+
     def test_rejoin_resyncs_and_clears_redirects(self, tmp_path):
         fabric, servers, datastore = self._replicated_world(tmp_path)
         self._populate(datastore)
