@@ -7,11 +7,11 @@ exists for -- a fabric with response latency (server -> client messages
 sleep, as a congested NIC would) and a PEP whose handler does real
 per-event work -- and measures one full pass three ways:
 
-1. blocking loads (no AsyncEngine): every ``get_multi`` stalls the
+1. blocking loads (no AsyncEngine): every packed load stalls the
    reader for the injected latency;
-2. pipelined loads (AsyncEngine): page N+1's ``get_multi_nb`` is in
-   flight while page N's events are processed, so latency hides behind
-   compute (``PEPStatistics.overlap_seconds`` records how much);
+2. pipelined loads (AsyncEngine): page N+1's non-blocking packed load
+   is in flight while page N's events are processed, so latency hides
+   behind compute (``PEPStatistics.overlap_seconds`` records how much);
 3. blocking loads on a clean fabric with and without the async layer
    importable on the path -- the "you don't pay for what you don't
    use" check.

@@ -4,6 +4,9 @@
 Compares the optimized data plane (compiled serializers, packed prefix
 loads, client-side product cache) against the fallback path that
 predates it (interpreted archive, per-key ``get_multi``, cache off).
+The per-key load is kept here as reference code only:
+:class:`PerKeyDataStore` serves ``load_products_packed`` with one
+``get_multi`` per product spec per shard.
 Four measurements:
 
 1. **Serialization micro**: encode+decode of a NOvA slice corpus with
@@ -50,10 +53,13 @@ from repro.hepnos import (
     PEPOptions,
     ProductCacheOptions,
     WriteBatch,
+    product_type_name,
     vector_of,
 )
+from repro.hepnos.keys import product_key
 from repro.mercury import Fabric
 from repro.mercury.fabric import FaultModel
+from repro.monitor import tracing
 from repro.nova.datamodel import EventHeader, SliceData
 from repro.nova.files import generate_file_set
 from repro.nova.generator import BEAM, COSMIC, GeneratorConfig, NovaGenerator
@@ -67,6 +73,43 @@ FULL = dict(serial_events=48, serial_rounds=5, pep_events=256, pep_rounds=3,
             cache_events=300, cache_rounds=8, wf_files=3, wf_events=32,
             speedup_gate=2.0)
 CACHE_OVERHEAD_GATE = 0.02
+
+
+class PerKeyDataStore(DataStore):
+    """The fallback batch load: one ``get_multi`` per spec per shard.
+
+    The library loads every spec of a batch with one packed prefix scan
+    per shard; this reference client keys each product individually,
+    as the library did before packed loads, through the same read router.
+    """
+
+    def load_products_packed(self, container_keys, specs):
+        container_keys = list(container_keys)
+        out = {}
+        for product_type, label in specs:
+            tname = product_type_name(product_type)
+            pkeys = [product_key(ckey, label, tname)
+                     for ckey in container_keys]
+            values = [None] * len(pkeys)
+
+            def issue(handle, indices, dispatch):
+                return handle.get_multi_nb([pkeys[i] for i in indices],
+                                           dispatch=dispatch)
+
+            def absorb(indices, answers):
+                for i, value in zip(indices, answers):
+                    if value is not None and values[i] is None:
+                        values[i] = loads(value)
+
+            with tracing.span("bench.load_products_per_key", type=tname,
+                              containers=len(container_keys)) as sp:
+                out[(tname, label)] = self._with_shard_retry(
+                    lambda: self._fanout(
+                        container_keys, range(len(container_keys)), issue,
+                        absorb, lambda i: values[i] is None,
+                        lambda: values, "a per-key product load",
+                        sp).wait())
+        return out
 
 
 def _deploy(fabric: Fabric) -> list:
@@ -151,11 +194,19 @@ def bench_serialization(params: dict) -> dict:
 # -- 2. PEP batch load -------------------------------------------------------
 
 
-def _pep_pass(datastore: DataStore, dataset, packed: bool) -> int:
+def _connect(fabric: Fabric, servers: list, enabled: bool,
+             **kwargs) -> DataStore:
+    """The fast configuration, or the per-key fallback with no cache."""
+    cls = DataStore if enabled else PerKeyDataStore
+    return cls.connect(fabric, servers,
+                       product_cache=ProductCacheOptions(enabled=enabled),
+                       **kwargs)
+
+
+def _pep_pass(datastore: DataStore, dataset) -> int:
     pep = ParallelEventProcessor(
         datastore,
-        options=PEPOptions(input_batch_size=64, dispatch_batch_size=8,
-                           packed_loads=packed),
+        options=PEPOptions(input_batch_size=64, dispatch_batch_size=8),
         products=[(vector_of(SliceData), "s"), (EventHeader, "h")],
     )
     count = {"n": 0}
@@ -170,13 +221,10 @@ def bench_pep_batch_load(params: dict) -> dict:
         fabric = Fabric(threaded=True)
         servers = _deploy(fabric)
         try:
-            datastore = DataStore.connect(
-                fabric, servers,
-                product_cache=ProductCacheOptions(enabled=enabled),
-            )
+            datastore = _connect(fabric, servers, enabled)
             with fast_path(enabled):
                 dataset = _fill_dataset(datastore, "bench/pep", num_events)
-                assert _pep_pass(datastore, dataset, packed=enabled) \
+                assert _pep_pass(datastore, dataset) \
                     == num_events  # warm-up
                 best, best_bytes = float("inf"), 0
                 for _ in range(params["pep_rounds"]):
@@ -184,7 +232,7 @@ def bench_pep_batch_load(params: dict) -> dict:
                     bytes0 = (stats.rpc_bytes + stats.response_bytes
                               + stats.bulk_bytes)
                     t0 = time.perf_counter()
-                    processed = _pep_pass(datastore, dataset, packed=enabled)
+                    processed = _pep_pass(datastore, dataset)
                     elapsed = time.perf_counter() - t0
                     assert processed == num_events
                     moved = (stats.rpc_bytes + stats.response_bytes
@@ -223,15 +271,11 @@ def _run_workflow(sample_paths: Sequence[str], enabled: bool,
     servers = _deploy(fabric)
     try:
         policy = chaos_client_policy() if chaos_seed is not None else None
-        datastore = DataStore.connect(
-            fabric, servers, retry_policy=policy,
-            product_cache=ProductCacheOptions(enabled=enabled),
-        )
+        datastore = _connect(fabric, servers, enabled, retry_policy=policy)
         workflow = HEPnOSWorkflow(
             datastore, "nova/dataplane",
             pep_options=PEPOptions(input_batch_size=64,
-                                   dispatch_batch_size=8,
-                                   packed_loads=enabled),
+                                   dispatch_batch_size=8),
         )
         with fast_path(enabled):
             workflow.ingest(sample_paths, num_ranks=1)

@@ -130,8 +130,7 @@ def _read_pass(datastore: DataStore) -> tuple[float, bytes]:
     content digest) so runs are comparable across shard counts."""
     pep = ParallelEventProcessor(
         datastore,
-        options=PEPOptions(input_batch_size=64, dispatch_batch_size=8,
-                           packed_loads=True),
+        options=PEPOptions(input_batch_size=64, dispatch_batch_size=8),
         products=[(vector_of(SliceData), "s"), (EventHeader, "h")],
     )
     seen: list = []

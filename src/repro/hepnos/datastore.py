@@ -20,6 +20,7 @@ from repro.faults.retry import RETRYABLE_ERRORS, RetryPolicy, default_client_pol
 from repro.hepnos import keys
 import numpy as np
 
+from repro.hepnos.async_engine import FutureGroup
 from repro.hepnos.column_block import ColumnBlock
 from repro.hepnos.connection import ConnectionInfo, DbTarget, connection_from_servers
 from repro.hepnos.options import ProductCacheOptions, QuotaOptions
@@ -69,32 +70,6 @@ class _LandingSize:
             self.per_container = 0.7 * self.per_container + 0.3 * sample
         else:
             self.per_container = sample
-
-
-def _get_multi(pkeys):
-    """Batch verb of the bulk loads: one ``get_multi`` per shard."""
-
-    def issue(handle, indices, dispatch):
-        return handle.get_multi_nb([pkeys[i] for i in indices],
-                                   dispatch=dispatch)
-
-    return issue
-
-
-def _absorb_values(out):
-    """Fill ``out`` from one shard's ``get_multi`` answer.
-
-    Scan resistance: batch loads stream each event once, so they read
-    the product cache but never populate it (inserting here would
-    evict genuinely hot products).
-    """
-
-    def absorb(indices, values):
-        for i, value in zip(indices, values):
-            if value is not None and out[i] is None:
-                out[i] = loads(value)
-
-    return absorb
 
 
 def _absorb_column_page(page, indices, fields, answered, groups,
@@ -339,8 +314,9 @@ class DataStore:
     # current again: the migrator copies before it erases, so a key
     # moved between the first two reads is on the current shard by the
     # third.  ShardMapStale is raised only when the map moved while
-    # something was still unanswered, and every attempt runs under
-    # _with_shard_retry, so a transport giveup fails over.
+    # something was still unanswered, and every blocking attempt runs
+    # under _with_shard_retry, so a transport giveup fails over.  A
+    # non-blocking batch load is the same fan-out without the retry.
 
     def _raise_if_moved(self, smap: ShardMap, what: str) -> None:
         if self.placement is not smap:
@@ -424,28 +400,6 @@ class DataStore:
                     return
             cursor = keys_page[-1]
 
-    def _plan_batch(self, smap: ShardMap, container_keys, slots,
-                    sp) -> dict[DbTarget, list[int]]:
-        """Plan half of a batch fan-out: slot indices per shard.
-
-        Each slot goes to its product's current shard and, while
-        migrating, to its previous shard too; the reads run concurrently.
-        """
-        by_target: dict[DbTarget, list[int]] = {}
-        locate = smap.strategy.product_database_for
-        previous = (smap.previous_product_database_for if smap.migrating
-                    else None)
-        for i in slots:
-            ckey = container_keys[i]
-            by_target.setdefault(locate(ckey), []).append(i)
-            if previous is not None:
-                prev = previous(ckey)
-                if prev is not None:
-                    by_target.setdefault(prev, []).append(i)
-        sp.set_tag("databases", len(by_target))
-        sp.set_tag("epoch", smap.epoch)
-        return by_target
-
     def _issue_batch(self, plan: dict, issue, engine=None) -> list:
         """Send ``issue(handle, indices, dispatch)`` to every planned shard.
 
@@ -460,42 +414,54 @@ class DataStore:
             futures.append(future)
         return futures
 
-    def _settle_batch(self, smap: ShardMap, container_keys, slots,
-                      plan: dict, answers: list, issue, absorb, unanswered,
-                      what: str) -> None:
-        """Settle half of a batch fan-out.
+    def _fanout(self, container_keys, slots, issue, absorb, unanswered,
+                result, what: str, sp, engine=None) -> FutureGroup:
+        """The batch fan-out: plan and issue now, settle in ``wait()``.
 
-        Absorbs each shard's answer (first non-absent answer wins);
-        while migrating, re-reads the still-unanswered slots from their
-        current shards, since the concurrent current and previous reads
-        can both miss a key moved between them; then checks staleness.
+        Each slot goes to its product's current shard and, while
+        migrating, to its previous shard too; the per-shard reads run
+        concurrently.  The returned group's ``wait()`` absorbs each
+        shard's answer (first non-absent answer wins); while migrating
+        it re-reads the still-unanswered slots from their current
+        shards, since the concurrent current and previous reads can
+        both miss a key moved between them; then it checks staleness
+        and returns ``result()``.  ``wait()`` cannot replay itself, so
+        a blocking load is ``_with_shard_retry(lambda: fanout.wait())``
+        with a fresh fan-out per attempt.
         """
-        for indices, answer in zip(plan.values(), answers):
-            absorb(indices, answer)
-        if smap.migrating:
-            locate = smap.strategy.product_database_for
-            again: dict[DbTarget, list[int]] = {}
-            for i in slots:
-                if unanswered(i):
-                    again.setdefault(locate(container_keys[i]), []).append(i)
-            for indices, future in zip(again.values(),
-                                       self._issue_batch(again, issue)):
-                absorb(indices, future.wait())
-        if self.placement is not smap and any(map(unanswered, slots)):
-            self._raise_if_moved(smap, what)
+        smap = self.placement
+        locate = smap.strategy.product_database_for
+        previous = (smap.previous_product_database_for if smap.migrating
+                    else None)
+        plan: dict[DbTarget, list[int]] = {}
+        for i in slots:
+            ckey = container_keys[i]
+            plan.setdefault(locate(ckey), []).append(i)
+            if previous is not None:
+                prev = previous(ckey)
+                if prev is not None:
+                    plan.setdefault(prev, []).append(i)
+        sp.set_tag("databases", len(plan))
+        sp.set_tag("epoch", smap.epoch)
 
-    def _read_batch(self, container_keys, slots, issue, absorb, unanswered,
-                    what: str, sp) -> None:
-        """Blocking batch fan-out: plan, issue, settle; retried whole."""
+        def settle(answers: list):
+            for indices, answer in zip(plan.values(), answers):
+                absorb(indices, answer)
+            if previous is not None:
+                again: dict[DbTarget, list[int]] = {}
+                for i in slots:
+                    if unanswered(i):
+                        again.setdefault(locate(container_keys[i]),
+                                         []).append(i)
+                for indices, future in zip(again.values(),
+                                           self._issue_batch(again, issue)):
+                    absorb(indices, future.wait())
+            if self.placement is not smap and any(map(unanswered, slots)):
+                self._raise_if_moved(smap, what)
+            return result()
 
-        def attempt():
-            smap = self.placement
-            plan = self._plan_batch(smap, container_keys, slots, sp)
-            answers = [f.wait() for f in self._issue_batch(plan, issue)]
-            self._settle_batch(smap, container_keys, slots, plan, answers,
-                               issue, absorb, unanswered, what)
-
-        self._with_shard_retry(attempt)
+        return FutureGroup(self._issue_batch(plan, issue, engine),
+                           assemble=settle)
 
     # -- replica failover -------------------------------------------------
 
@@ -896,83 +862,16 @@ class DataStore:
         return bool(self._read_point("products", container_key, key,
                                      exists=True))
 
-    def load_products_bulk(self, container_keys, product_type, label: str = ""):
-        """Batched product load for many containers (one RPC per database).
-
-        Returns a list aligned with ``container_keys``; missing products
-        are ``None``.  Cache hits are served locally; the misses fan out
-        as one concurrent ``get_multi`` per involved database.
-        """
-        container_keys = list(container_keys)
-        tname = product_type_name(product_type)
-        pkeys = [keys.product_key(ckey, label, tname) for ckey in container_keys]
-        out = [None] * len(container_keys)
-        slots = range(len(container_keys))
-        cache = self._product_cache
-        with _tracing.span("hepnos.load_products_bulk", type=tname,
-                           label=label, containers=len(container_keys)) as sp:
-            if cache is not None:
-                slots = []
-                for i, pkey in enumerate(pkeys):
-                    cached = cache.get(pkey)
-                    if cached is None:
-                        slots.append(i)
-                    else:
-                        out[i] = loads(cached)
-                sp.set_tag("cache_hits", len(pkeys) - len(slots))
-            self._read_batch(container_keys, slots, _get_multi(pkeys),
-                             _absorb_values(out), lambda i: out[i] is None,
-                             "a bulk product load", sp)
-            return out
-
-    def load_products_bulk_nb(self, container_keys, product_type,
-                              label: str = ""):
-        """Non-blocking :meth:`load_products_bulk` (no cache lookup).
-
-        Plans and issues one ``get_multi_nb`` per involved database and
-        returns a :class:`~repro.hepnos.FutureGroup` whose ``wait()``
-        settles the fan-out into the same aligned list the blocking
-        call would.  When an :class:`AsyncEngine` is attached the
-        per-database futures go through its bounded in-flight window;
-        otherwise they dispatch immediately.  ``wait()`` cannot replay
-        itself: a stale map (:class:`ShardMapStale`) or a transport
-        giveup surfaces from it as a retryable error, and the PEP's
-        pipelined reader re-runs such a page through the blocking loads.
-        """
-        from repro.hepnos.async_engine import FutureGroup
-
-        container_keys = list(container_keys)
-        tname = product_type_name(product_type)
-        pkeys = [keys.product_key(ckey, label, tname) for ckey in container_keys]
-        out = [None] * len(container_keys)
-        slots = range(len(container_keys))
-        issue = _get_multi(pkeys)
-        absorb = _absorb_values(out)
-        with _tracing.span("hepnos.load_products_bulk_nb", type=tname,
-                           label=label, containers=len(container_keys)) as sp:
-            smap = self.placement
-            plan = self._plan_batch(smap, container_keys, slots, sp)
-
-            def assemble(answers: list) -> list:
-                self._settle_batch(smap, container_keys, slots, plan, answers,
-                                   issue, absorb, lambda i: out[i] is None,
-                                   "a non-blocking bulk product load")
-                return out
-
-            return FutureGroup(
-                self._issue_batch(plan, issue, self.async_engine),
-                assemble=assemble)
-
     def load_products_packed(self, container_keys, specs):
         """Load several product specs for many containers at once.
 
-        ``specs`` is a list of ``(product_type, label)`` pairs.  Instead
-        of one ``get_multi`` per spec, each involved database serves a
-        single ``load_prefix_packed`` RPC: an ordered server-side scan
-        per container key returning *every* product of the event in one
-        packed bulk transfer.  The per-database scans run concurrently.
-        Returns ``{(type_name, label): [obj or None, ...]}``, each list
-        aligned with ``container_keys``.
+        ``specs`` is a list of ``(product_type, label)`` pairs.  Each
+        involved database serves a single ``load_prefix_packed`` RPC: an
+        ordered server-side scan per container key returning *every*
+        product of the event in one packed bulk transfer.  The
+        per-database scans run concurrently.  Returns
+        ``{(type_name, label): [obj or None, ...]}``, each list aligned
+        with ``container_keys``.
 
         Intended for *event* containers: event keys are fixed-width
         (:data:`~repro.hepnos.keys.EVENT_KEY_LEN`), so a prefix scan on
@@ -982,14 +881,36 @@ class DataStore:
 
         A container whose specs are *all* cache hits is skipped
         entirely; one miss refetches the whole event (the packed scan
-        has per-event granularity).
+        has per-event granularity).  Scan resistance: batch loads
+        stream each event once, so they read the product cache but
+        never populate it (inserting would evict genuinely hot
+        products).
         """
+        return self._load_packed(container_keys, specs, blocking=True)
+
+    def load_products_packed_nb(self, container_keys, specs):
+        """Non-blocking :meth:`load_products_packed`.
+
+        Plans and issues one ``load_prefix_packed`` per involved
+        database now and returns a :class:`~repro.hepnos.FutureGroup`
+        whose ``wait()`` settles into the same ``{spec: list}`` dict the
+        blocking call returns.  With an :class:`AsyncEngine` attached
+        the per-database futures go through its bounded in-flight
+        window; otherwise they dispatch immediately.  ``wait()`` cannot
+        replay itself: a stale map (:class:`ShardMapStale`) or a
+        transport giveup surfaces from it as a retryable error, and the
+        PEP and the Prefetcher re-run such a page through the blocking
+        load.
+        """
+        return self._load_packed(container_keys, specs, blocking=False)
+
+    def _load_packed(self, container_keys, specs, blocking: bool):
         container_keys = list(container_keys)
         resolved = [(product_type_name(pt), label) for pt, label in specs]
         cache = self._product_cache
         out = {spec: [None] * len(container_keys) for spec in resolved}
-        with _tracing.span("hepnos.load_products_packed",
-                           containers=len(container_keys),
+        name = "hepnos.load_products_packed" + ("" if blocking else "_nb")
+        with _tracing.span(name, containers=len(container_keys),
                            specs=len(resolved)) as sp:
             # pkey -> list of (spec index, container index) slots to fill
             want: dict[bytes, list[tuple[int, int]]] = {}
@@ -1029,22 +950,27 @@ class DataStore:
                         slots = want.get(pkey)
                         if slots is None:
                             continue
-                        # Like load_products_bulk: read the cache, never
-                        # populate it.  A duplicate answer from the
-                        # other shard of a migrating pair is the same
-                        # immutable product.
+                        # A duplicate answer from the other shard of a
+                        # migrating pair is the same immutable product.
                         obj = loads(view)
                         for si, i in slots:
                             out[resolved[si]][i] = obj
 
-            self._read_batch(
-                container_keys, fetch, issue, absorb,
-                lambda i: any(out[spec][i] is None for spec in resolved),
-                "a packed product load", sp)
-            if fetch:
-                size.observe(total_bytes, len(fetch))
-                sp.set_tag("bytes", total_bytes)
-            return out
+            def result() -> dict:
+                if fetch:
+                    size.observe(total_bytes, len(fetch))
+                    sp.set_tag("bytes", total_bytes)
+                return out
+
+            def fanout(engine=None) -> FutureGroup:
+                return self._fanout(
+                    container_keys, fetch, issue, absorb,
+                    lambda i: any(out[spec][i] is None for spec in resolved),
+                    result, "a packed product load", sp, engine)
+
+            if not blocking:
+                return fanout(self.async_engine)
+            return self._with_shard_retry(lambda: fanout().wait())
 
     def load_products_columnar(self, container_keys, product_type, fields,
                                label: str = "") -> ColumnBlock:
@@ -1074,26 +1000,30 @@ class DataStore:
         with _tracing.span("hepnos.load_products_columnar", type=tname,
                            label=label, containers=count,
                            fields=len(fields)) as sp:
-            if container_keys:
-                size = self._columnar_size
-                total_bytes = 0
+            size = self._columnar_size
+            total_bytes = 0
 
-                def issue(handle, indices, dispatch):
-                    return handle.scan_columns_nb(
-                        [container_keys[i] for i in indices], suffix, fields,
-                        size_hint=size.hint(len(indices)), dispatch=dispatch)
+            def issue(handle, indices, dispatch):
+                return handle.scan_columns_nb(
+                    [container_keys[i] for i in indices], suffix, fields,
+                    size_hint=size.hint(len(indices)), dispatch=dispatch)
 
-                def absorb(indices, page):
-                    nonlocal total_bytes
-                    total_bytes += _absorb_column_page(
-                        page, indices, fields, answered, groups, raw_objs)
+            def absorb(indices, page):
+                nonlocal total_bytes
+                total_bytes += _absorb_column_page(
+                    page, indices, fields, answered, groups, raw_objs)
 
-                self._read_batch(container_keys, range(count), issue, absorb,
-                                 lambda i: not answered[i],
-                                 "a columnar product load", sp)
-                size.observe(total_bytes, count)
-                sp.set_tag("bytes", total_bytes)
-            return ColumnBlock.from_groups(fields, count, groups, raw_objs)
+            def result() -> ColumnBlock:
+                if count:
+                    size.observe(total_bytes, count)
+                    sp.set_tag("bytes", total_bytes)
+                return ColumnBlock.from_groups(fields, count, groups,
+                                               raw_objs)
+
+            return self._with_shard_retry(lambda: self._fanout(
+                container_keys, range(count), issue, absorb,
+                lambda i: not answered[i], result,
+                "a columnar product load", sp).wait())
 
     # -- misc ---------------------------------------------------------------
 

@@ -64,10 +64,6 @@ class PEPOptions:
     load_retries: int = 2
     #: ``"raise"`` fails the run; ``"skip"`` abandons the subrun
     on_load_failure: str = "raise"
-    #: load whole events with one packed prefix-scan RPC per database
-    #: instead of one ``get_multi`` per product spec (blocking path only;
-    #: the pipelined non-blocking path keeps per-spec ``get_multi_nb``)
-    packed_loads: bool = True
     #: fetch only the columns a vectorized ``process_batches`` handler
     #: declared, via the server-side ``scan_columns`` projection, and
     #: hand the handler struct-of-arrays event batches; requires exactly
@@ -94,9 +90,6 @@ class PrefetchOptions:
     #: pages of product loads kept in flight ahead of consumption
     #: (only effective with an AsyncEngine; 0 disables lookahead)
     lookahead: int = 1
-    #: load whole events with one packed prefix-scan RPC per database
-    #: instead of one ``get_multi`` per product spec (blocking path only)
-    packed_loads: bool = True
     #: project declared columns server-side (``scan_columns``) instead of
     #: shipping whole products; events still load lazily per product
     columnar_loads: bool = False
@@ -161,6 +154,18 @@ class QuotaOptions:
         return wire.TenantEnvelope(self.tenant,
                                    wire.priority_code(self.priority),
                                    self.token)
+
+
+def check_columnar(options, products: list, columns) -> None:
+    """Reject ``columnar_loads`` without one product spec and columns."""
+    if not options.columnar_loads:
+        return
+    if len(products) != 1:
+        raise HEPnOSError("columnar_loads projects one product spec; got "
+                          f"{len(products)}")
+    if not columns:
+        raise HEPnOSError("columnar_loads needs the columns to project "
+                          "(pass columns=[...])")
 
 
 def resolve_options(options, legacy: dict, options_type, owner: str):

@@ -6,8 +6,8 @@ events of a dataset cooperatively:
 - a subset of ranks become **readers** (typically as many readers as
   event databases).  Each reader owns a disjoint set of event databases
   and streams their events in *input batches* (default 16384 events --
-  few RPCs, large transfers), prefetching requested products with
-  batched ``get_multi`` calls;
+  few RPCs, large transfers), prefetching requested products with one
+  packed load per batch;
 - readers chop input batches into *dispatch batches* (default 64
   events -- fine-grained load balancing) and serve them to worker ranks
   on demand through a pull protocol;
@@ -31,7 +31,7 @@ from repro.faults.retry import RETRYABLE_ERRORS
 from repro.hepnos import keys as hkeys
 from repro.hepnos.column_block import EventBatch
 from repro.hepnos.connection import DbTarget
-from repro.hepnos.options import PEPOptions, resolve_options
+from repro.hepnos.options import PEPOptions, check_columnar, resolve_options
 from repro.hepnos.product import product_type_name
 from repro.monitor import tracing as _tracing
 
@@ -186,17 +186,7 @@ class ParallelEventProcessor:
         #: fields to project in columnar mode (``process_batches`` with
         #: ``options.columnar_loads``); ``None`` otherwise
         self.columns = list(columns) if columns is not None else None
-        if options.columnar_loads:
-            if len(self.products) != 1:
-                raise HEPnOSError(
-                    "columnar_loads projects one product spec; got "
-                    f"{len(self.products)}"
-                )
-            if not self.columns:
-                raise HEPnOSError(
-                    "columnar_loads needs the columns to project "
-                    "(pass columns=[...])"
-                )
+        check_columnar(options, self.products, self.columns)
         self._batch_mode = False
         self._async_engine = async_engine
 
@@ -303,8 +293,8 @@ class ParallelEventProcessor:
     def _load_batches(self, subruns, stats: Optional[PEPStatistics] = None):
         """Yield lists of :class:`_EventStub` of up to input_batch_size.
 
-        One ``list_keys`` page + one ``get_multi`` per product spec per
-        batch: the few-RPCs/large-payload pattern from the paper.
+        One ``list_keys`` page + one packed product load per batch: the
+        few-RPCs/large-payload pattern from the paper.
 
         Each batch load gets a bounded retry budget on top of the
         client's own retry policy; exhausting it either fails the run
@@ -318,48 +308,52 @@ class ParallelEventProcessor:
         if (self.async_engine is not None and self.products
                 and not self._columnar):
             # Columnar loads already fan out non-blocking inside one
-            # load_products_columnar call; the per-spec get_multi_nb
-            # pipeline would refetch whole objects, defeating projection.
+            # load_products_columnar call; the packed pipeline would
+            # refetch whole events, defeating projection.
             yield from self._load_batches_pipelined(subruns, stats)
             return
+
+        def load(subrun, cursor):
+            # Listing a page and prefetching its products are both
+            # idempotent, so a retry re-runs the whole load.
+            page = self._list_events(subrun, cursor)
+            return page, self._materialize(subrun, page) if page else []
+
+        for _subrun, _page, batch in self._pages(subruns, load, stats):
+            yield batch
+
+    def _pages(self, subruns, load, stats: Optional[PEPStatistics],
+               poisoned=()):
+        """Walk each subrun's key pages: ``load(subrun, cursor)`` returns
+        ``(page, payload)`` under the retry budget; yields
+        ``(subrun, page, payload)`` per non-empty page."""
         for subrun in subruns:
             cursor = b""
-            while True:
+            while id(subrun) not in poisoned:
                 try:
-                    page, batch = self._load_one_batch(subrun, cursor, stats)
+                    page, payload = self._retrying(
+                        lambda: load(subrun, cursor), stats)
                 except RETRYABLE_ERRORS:
-                    if self.on_load_failure != "skip":
-                        raise
-                    if stats is not None:
-                        stats.subruns_skipped += 1
+                    self._give_up(stats)
                     break  # abandon the remainder of this subrun
                 if not page:
                     break
                 cursor = page[-1]
-                yield batch
+                yield subrun, page, payload
                 if len(page) < self.input_batch_size:
                     break
 
-    def _load_one_batch(self, subrun, cursor: bytes,
-                        stats: Optional[PEPStatistics]):
-        """Load one (page, stubs) pair, retrying transient failures.
+    def _retrying(self, fn, stats: Optional[PEPStatistics]):
+        """Run ``fn`` under the batch-load retry budget.
 
-        Listing a page and prefetching its products are both idempotent,
-        so re-running the whole load after a partial failure is safe.
+        Every failed attempt counts in ``load_retries``; once more than
+        ``self.load_retries`` attempts failed, the failure counts in
+        ``load_failures`` and propagates.
         """
         attempts = 0
         while True:
             try:
-                with _tracing.span("pep.list_events",
-                                   limit=self.input_batch_size) as sp:
-                    page = list(self.datastore.list_child_keys(
-                        "events", subrun.key, start_after=cursor,
-                        limit=self.input_batch_size,
-                    ))
-                    sp.set_tag("events", len(page))
-                if not page:
-                    return page, []
-                return page, self._materialize(subrun, page)
+                return fn()
             except RETRYABLE_ERRORS:
                 attempts += 1
                 if stats is not None:
@@ -368,6 +362,25 @@ class ParallelEventProcessor:
                     if stats is not None:
                         stats.load_failures += 1
                     raise
+
+    def _give_up(self, stats: Optional[PEPStatistics]) -> None:
+        """A batch load exhausted its budget (call inside ``except``):
+        re-raise, or under ``on_load_failure="skip"`` count the skipped
+        subrun."""
+        if self.on_load_failure != "skip":
+            raise
+        if stats is not None:
+            stats.subruns_skipped += 1
+
+    def _list_events(self, subrun, cursor: bytes) -> list[bytes]:
+        with _tracing.span("pep.list_events",
+                           limit=self.input_batch_size) as sp:
+            page = list(self.datastore.list_child_keys(
+                "events", subrun.key, start_after=cursor,
+                limit=self.input_batch_size,
+            ))
+            sp.set_tag("events", len(page))
+        return page
 
     @property
     def _columnar(self) -> bool:
@@ -386,19 +399,12 @@ class ParallelEventProcessor:
                 # fallback aside) loads per event on demand.
                 stubs = self._stubs_from(subrun, event_keys, {})
                 return EventBatch(stubs, block)
-            if self.products and self.options.packed_loads:
+            if self.products:
                 # One packed prefix-scan RPC per database covers every
                 # event and every product spec at once.
                 prefetched = self.datastore.load_products_packed(
                     event_keys, self.products
                 )
-            else:
-                for tname, label in self.products:
-                    prefetched[(tname, label)] = (
-                        self.datastore.load_products_bulk(
-                            event_keys, tname, label=label
-                        )
-                    )
         return self._stubs_from(subrun, event_keys, prefetched)
 
     def _stubs_from(self, subrun, event_keys: list[bytes],
@@ -417,75 +423,30 @@ class ParallelEventProcessor:
 
     # -- pipelined loading (AsyncEngine) -----------------------------------
 
-    def _list_page(self, subrun, cursor: bytes,
-                   stats: Optional[PEPStatistics]) -> list[bytes]:
-        """One key-page listing under the batch retry budget."""
-        attempts = 0
-        while True:
-            try:
-                with _tracing.span("pep.list_events",
-                                   limit=self.input_batch_size) as sp:
-                    page = list(self.datastore.list_child_keys(
-                        "events", subrun.key, start_after=cursor,
-                        limit=self.input_batch_size,
-                    ))
-                    sp.set_tag("events", len(page))
-                return page
-            except RETRYABLE_ERRORS:
-                attempts += 1
-                if stats is not None:
-                    stats.load_retries += 1
-                if attempts > self.load_retries:
-                    if stats is not None:
-                        stats.load_failures += 1
-                    raise
-
     def _load_batches_pipelined(self, subruns,
                                 stats: Optional[PEPStatistics] = None):
         """Double-buffered batch loading over the AsyncEngine.
 
-        Key pages list synchronously (cheap), but each page's product
-        loads are issued as ``get_multi_nb`` futures the moment the
-        page is known -- so while batch N's stubs are being processed,
-        batch N+1's products are already on the wire.  Failure
-        semantics match the synchronous path: a page whose async
-        retirement exhausts the client policy re-runs through the
-        blocking loader under the remaining ``load_retries`` budget,
-        and ``on_load_failure="skip"`` abandons the rest of the subrun
-        (in-flight pages of a poisoned subrun are discarded).
+        Key pages list synchronously (cheap), but each page's products
+        are issued as one non-blocking packed load the moment the page
+        is known -- so while batch N's stubs are being processed, batch
+        N+1's products are already on the wire.  Failure semantics
+        match the synchronous path: a page whose async retirement gives
+        up re-runs through the blocking packed load under the
+        ``load_retries`` budget, and ``on_load_failure="skip"`` abandons
+        the rest of the subrun (in-flight pages of a poisoned subrun
+        are discarded).
         """
         window: deque = deque()
         poisoned: set[int] = set()
 
-        def pages():
-            for subrun in subruns:
-                cursor = b""
-                while True:
-                    if id(subrun) in poisoned:
-                        break
-                    try:
-                        page = self._list_page(subrun, cursor, stats)
-                    except RETRYABLE_ERRORS:
-                        if self.on_load_failure != "skip":
-                            raise
-                        if stats is not None:
-                            stats.subruns_skipped += 1
-                        break
-                    if not page:
-                        break
-                    cursor = page[-1]
-                    yield subrun, page
-                    if len(page) < self.input_batch_size:
-                        break
+        def issue(subrun, cursor):
+            page = self._list_events(subrun, cursor)
+            return page, (self.datastore.load_products_packed_nb(
+                page, self.products) if page else None)
 
-        for subrun, page in pages():
-            groups = {
-                spec: self.datastore.load_products_bulk_nb(
-                    page, spec[0], label=spec[1]
-                )
-                for spec in self.products
-            }
-            window.append((subrun, page, groups))
+        for item in self._pages(subruns, issue, stats, poisoned):
+            window.append(item)
             if len(window) > 1:
                 batch = self._finish_pipelined(*window.popleft(),
                                                stats, poisoned)
@@ -496,50 +457,33 @@ class ParallelEventProcessor:
             if batch is not None:
                 yield batch
 
-    def _finish_pipelined(self, subrun, page, groups,
+    def _finish_pipelined(self, subrun, page, group,
                           stats: Optional[PEPStatistics],
                           poisoned: set) -> Optional[list]:
         if id(subrun) in poisoned:
             return None
         wait_start = time.monotonic()
-        overlap = sum(g.overlap_seconds(wait_start) for g in groups.values())
+        overlap = group.overlap_seconds(wait_start)
         try:
             with _tracing.span("pep.pipeline.finish", events=len(page)) as sp:
-                prefetched = {spec: groups[spec].wait() for spec in groups}
+                prefetched = group.wait()
                 sp.set_tag("overlap_seconds", round(overlap, 6))
         except RETRYABLE_ERRORS:
             # Async retirement gave up; re-run this page through the
-            # synchronous retrying loader before declaring failure.
+            # blocking packed load before declaring failure.
             if stats is not None:
                 stats.load_retries += 1
             try:
-                return self._materialize_retrying(subrun, page, stats)
+                return self._retrying(
+                    lambda: self._materialize(subrun, page), stats)
             except RETRYABLE_ERRORS:
-                if self.on_load_failure != "skip":
-                    raise
-                if stats is not None:
-                    stats.subruns_skipped += 1
+                self._give_up(stats)
                 poisoned.add(id(subrun))
                 return None
         if stats is not None:
             stats.overlap_seconds += overlap
             stats.prefetch_wait_seconds += time.monotonic() - wait_start
         return self._stubs_from(subrun, page, prefetched)
-
-    def _materialize_retrying(self, subrun, page,
-                              stats: Optional[PEPStatistics]) -> list:
-        attempts = 0
-        while True:
-            try:
-                return self._materialize(subrun, page)
-            except RETRYABLE_ERRORS:
-                attempts += 1
-                if stats is not None:
-                    stats.load_retries += 1
-                if attempts > self.load_retries:
-                    if stats is not None:
-                        stats.load_failures += 1
-                    raise
 
     # -- parallel mode ---------------------------------------------------------
 

@@ -2,15 +2,15 @@
 
 Plain container iteration issues one ``list_keys`` page at a time and
 one ``get`` per product.  The Prefetcher fetches key pages ahead of
-consumption and gang-loads requested products with batched ``get_multi``
-RPCs, the access pattern the ParallelEventProcessor's readers rely on
+consumption and gang-loads requested products with one packed load per
+page, the access pattern the ParallelEventProcessor's readers rely on
 (paper section II-D).
 
 With an :class:`~repro.hepnos.AsyncEngine` attached to the datastore
 (or passed explicitly) the Prefetcher double-buffers: page N+1's
-product loads are issued with ``get_multi_nb`` while page N's events
-are being consumed, so the store's latency hides behind the analysis
-compute.  The realized overlap is accumulated in
+packed load is issued non-blocking while page N's events are being
+consumed, so the store's latency hides behind the analysis compute.
+The realized overlap is accumulated in
 :attr:`Prefetcher.overlap_seconds` and traced as
 ``hepnos.prefetch.overlap`` spans.
 """
@@ -21,9 +21,11 @@ import time
 from collections import deque
 from typing import Iterator, Optional, Sequence, Tuple
 
+from repro.faults.retry import RETRYABLE_ERRORS
 from repro.hepnos import keys as hkeys
 from repro.hepnos.containers import Event, SubRun
-from repro.hepnos.options import PrefetchOptions, resolve_options
+from repro.hepnos.options import (PrefetchOptions, check_columnar,
+                                  resolve_options)
 from repro.hepnos.product import product_type_name
 from repro.monitor import tracing as _tracing
 
@@ -51,19 +53,7 @@ class Prefetcher:
         ]
         #: fields to project server-side with ``options.columnar_loads``
         self.columns = list(columns) if columns is not None else None
-        if self.options.columnar_loads:
-            from repro.errors import HEPnOSError
-
-            if len(self.products) != 1:
-                raise HEPnOSError(
-                    "columnar_loads projects one product spec; got "
-                    f"{len(self.products)}"
-                )
-            if not self.columns:
-                raise HEPnOSError(
-                    "columnar_loads needs the columns to project "
-                    "(pass columns=[...])"
-                )
+        check_columnar(self.options, self.products, self.columns)
         self._async_engine = async_engine
         #: seconds of product-load latency hidden behind consumption
         #: (double-buffered mode only)
@@ -84,8 +74,8 @@ class Prefetcher:
         """Events of ``subrun`` in order, with products pre-loaded."""
         if self.options.columnar_loads:
             # Columnar pages fan out non-blocking inside the datastore
-            # already; the get_multi pipeline would refetch whole
-            # objects, defeating the projection.
+            # already; the packed pipeline would refetch whole events,
+            # defeating the projection.
             for page in self._key_pages(subrun):
                 yield from self._materialize_columnar(subrun, page)
             return
@@ -117,19 +107,12 @@ class Prefetcher:
         products: dict[tuple[str, str], list] = {}
         with _tracing.span("hepnos.prefetch.page", events=len(event_keys),
                            products=len(self.products)):
-            if self.products and self.options.packed_loads:
+            if self.products:
                 # One packed prefix-scan RPC per database covers every
                 # event and every product spec at once.
                 products = self.datastore.load_products_packed(
                     event_keys, self.products
                 )
-            else:
-                for tname, label in self.products:
-                    products[(tname, label)] = (
-                        self.datastore.load_products_bulk(
-                            event_keys, tname, label=label
-                        )
-                    )
         yield from self._emit(subrun, event_keys, products)
 
     def _materialize_columnar(self, subrun: SubRun, event_keys: list[bytes]
@@ -172,13 +155,8 @@ class Prefetcher:
         """
         window: deque = deque()
         for page in self._key_pages(subrun):
-            groups = {
-                (tname, label): self.datastore.load_products_bulk_nb(
-                    page, tname, label=label
-                )
-                for tname, label in self.products
-            }
-            window.append((page, groups))
+            window.append((page, self.datastore.load_products_packed_nb(
+                page, self.products)))
             if len(window) > self.options.lookahead:
                 yield from self._finish_page(subrun, *window.popleft())
             self.pages_prefetched += 1
@@ -186,12 +164,18 @@ class Prefetcher:
             yield from self._finish_page(subrun, *window.popleft())
 
     def _finish_page(self, subrun: SubRun, event_keys: list[bytes],
-                     groups: dict) -> Iterator["PrefetchedEvent"]:
+                     group) -> Iterator["PrefetchedEvent"]:
         wait_start = time.monotonic()
-        overlap = sum(g.overlap_seconds(wait_start) for g in groups.values())
+        overlap = group.overlap_seconds(wait_start)
         with _tracing.span("hepnos.prefetch.overlap",
                            events=len(event_keys)) as sp:
-            products = {spec: group.wait() for spec, group in groups.items()}
+            try:
+                products = group.wait()
+            except RETRYABLE_ERRORS:
+                # The non-blocking load cannot replay itself (a giveup
+                # or a stale shard map): re-run the page blocking.
+                products = self.datastore.load_products_packed(
+                    event_keys, self.products)
             waited = time.monotonic() - wait_start
             sp.set_tag("overlap_seconds", round(overlap, 6))
             sp.set_tag("wait_seconds", round(waited, 6))

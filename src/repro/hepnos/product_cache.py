@@ -16,7 +16,7 @@ are mutable (callers could corrupt a shared cached instance), and bytes
 make the memory bound honest.
 
 Only single-product loads and stores insert.  No batch path does:
-bulk and packed loads read the cache without inserting, and columnar
+packed loads read the cache without inserting, and columnar
 loads bypass it, so a streaming pass cannot evict a hot working set.
 Repeated columnar projections are served by the provider's page cache
 instead (see :mod:`repro.yokan.provider`).

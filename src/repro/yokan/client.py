@@ -337,22 +337,22 @@ class DatabaseHandle:
         return self._future(issue, finish, f"get@{self.name}",
                             dispatch=dispatch)
 
-    def get_multi_nb(self, keys: Sequence[bytes], size_hint: int = 0,
-                     *, dispatch: bool = True) -> OperationFuture:
-        """Non-blocking :meth:`get_multi`.
+    def _landing_future(self, rpc: str, capacity: int, request, decode,
+                        description: str, dispatch: bool
+                        ) -> OperationFuture:
+        """A future whose provider pushes its answer into a landing buffer.
 
-        The landing buffer lives in the future's closure; an undersized
+        ``request(bulk, capacity)`` builds the RPC payload around the
+        exposed buffer; the provider replies ``(*head, nbytes, crc)``
+        and ``decode(view, *head)`` turns the verified bytes into the
+        result.  The buffer lives in the future's closure; an undersized
         buffer re-issues with the provider's requested capacity (not
-        charged against the retry budget), and the landing-buffer CRC is
-        verified inside the retirement loop so a corrupted RDMA push
-        re-issues the RPC like the blocking path.
+        charged against the retry budget), and the CRC is verified
+        inside the retirement loop, so a corrupted push re-issues the
+        RPC like the blocking path.
         """
-        keys = [bytes(k) for k in keys]
-        if not keys:
-            return OperationFuture.completed([], f"get_multi[0]@{self.name}")
-        handle = self._engine.create_handle(self.target, "yokan.get_multi")
-        state = {"capacity": size_hint or (64 * len(keys) + 1024),
-                 "buffer": None, "bulk": None}
+        handle = self._engine.create_handle(self.target, rpc)
+        state = {"capacity": capacity, "buffer": None, "bulk": None}
 
         def issue():
             buffer = bytearray(state["capacity"])
@@ -360,8 +360,8 @@ class DatabaseHandle:
             # and the provider's RDMA push may land long after issue.
             state["buffer"] = buffer
             state["bulk"] = self._engine.expose(buffer, Bulk.READ_WRITE)
-            payload = self._seal(dumps((self.name, keys, state["bulk"],
-                                        state["capacity"])))
+            payload = self._seal(dumps(request(state["bulk"],
+                                               state["capacity"])))
             return handle.iforward(payload, self.provider_id)
 
         def finish(raw):
@@ -369,14 +369,25 @@ class DatabaseHandle:
             if isinstance(result, _Retry):
                 state["capacity"] = result.needed
                 raise _ResizeNeeded()
-            nbytes, crc = result
-            wire.verify_bulk(memoryview(state["buffer"])[:nbytes], crc,
-                             "get_multi landing buffer")
-            return loads(memoryview(state["buffer"])[:nbytes])
+            *head, nbytes, crc = result
+            view = memoryview(state["buffer"])[:nbytes]
+            wire.verify_bulk(view, crc,
+                             f"{rpc.split('.', 1)[1]} landing buffer")
+            return decode(view, *head)
 
-        return self._future(issue, finish,
-                            f"get_multi[{len(keys)}]@{self.name}",
-                            dispatch=dispatch)
+        return self._future(issue, finish, description, dispatch=dispatch)
+
+    def get_multi_nb(self, keys: Sequence[bytes], size_hint: int = 0,
+                     *, dispatch: bool = True) -> OperationFuture:
+        """Non-blocking :meth:`get_multi`; resolves to the aligned values."""
+        keys = [bytes(k) for k in keys]
+        if not keys:
+            return OperationFuture.completed([], f"get_multi[0]@{self.name}")
+        return self._landing_future(
+            "yokan.get_multi", size_hint or (64 * len(keys) + 1024),
+            lambda bulk, capacity: (self.name, keys, bulk, capacity),
+            lambda view: loads(view),
+            f"get_multi[{len(keys)}]@{self.name}", dispatch)
 
     def load_prefix_packed_nb(self, prefixes: Sequence[bytes],
                               size_hint: int = 0, *, dispatch: bool = True
@@ -386,46 +397,18 @@ class DatabaseHandle:
         Resolves to one group per prefix, in request order; values are
         zero-copy ``memoryview`` slices of the landing buffer (the views
         pin it, copy if you need the bytes to outlive the result).  The
-        landing buffer lives in the future's closure; an undersized
-        buffer re-issues with the provider's requested capacity, and the
-        packed buffer's CRC is verified inside the retirement loop, so a
-        corrupted push re-issues the RPC.  The datastore issues one of
-        these per involved shard so packed scans fan out concurrently.
+        datastore issues one of these per involved shard so packed scans
+        fan out concurrently.
         """
         prefixes = [bytes(p) for p in prefixes]
         if not prefixes:
             return OperationFuture.completed(
                 [], f"load_prefix_packed[0]@{self.name}")
-        handle = self._engine.create_handle(self.target,
-                                            "yokan.load_prefix_packed")
-        state = {"capacity": size_hint or (4096 * len(prefixes)),
-                 "buffer": None, "bulk": None}
-
-        def issue():
-            buffer = bytearray(state["capacity"])
-            # Pin the Bulk in the closure: regions are weakly tracked,
-            # and the provider's RDMA push may land long after issue.
-            state["buffer"] = buffer
-            state["bulk"] = self._engine.expose(buffer, Bulk.READ_WRITE)
-            payload = self._seal(dumps((self.name, prefixes, state["bulk"],
-                                        state["capacity"])))
-            return handle.iforward(payload, self.provider_id)
-
-        def finish(raw):
-            result = _unwrap(raw)
-            if isinstance(result, _Retry):
-                state["capacity"] = result.needed
-                raise _ResizeNeeded()
-            ngroups, nbytes, crc = result
-            wire.verify_bulk(memoryview(state["buffer"])[:nbytes], crc,
-                             "load_prefix_packed landing buffer")
-            return packed.unpack_groups(
-                memoryview(state["buffer"])[:nbytes], ngroups)
-
-        return self._future(issue, finish,
-                            f"load_prefix_packed[{len(prefixes)}]"
-                            f"@{self.name}",
-                            dispatch=dispatch)
+        return self._landing_future(
+            "yokan.load_prefix_packed", size_hint or (4096 * len(prefixes)),
+            lambda bulk, capacity: (self.name, prefixes, bulk, capacity),
+            packed.unpack_groups,
+            f"load_prefix_packed[{len(prefixes)}]@{self.name}", dispatch)
 
     def scan_columns_nb(self, prefixes: Sequence[bytes], suffix: bytes,
                         fields: Sequence[str], size_hint: int = 0,
@@ -440,12 +423,9 @@ class DatabaseHandle:
         row count when columnar, raw value ``memoryview`` fallback) and
         one ``(dtype_str, payload)`` block per field.  Values without a
         column plan travel row-wise, so projection narrows the data but
-        never changes it.  The landing buffer lives in the future's
-        closure (the zero-copy column views pin it); an undersized
-        buffer re-issues with the provider's requested capacity, and the
-        page CRC is verified inside the retirement loop.  The datastore
-        issues one of these per involved shard so projections fan out
-        concurrently.
+        never changes it.  The zero-copy column views pin the landing
+        buffer.  The datastore issues one of these per involved shard so
+        projections fan out concurrently.
         """
         prefixes = [bytes(p) for p in prefixes]
         fields = [str(f) for f in fields]
@@ -453,42 +433,19 @@ class DatabaseHandle:
             return OperationFuture.completed(
                 ([], [("O", memoryview(b"")) for _ in fields]),
                 f"scan_columns[0]@{self.name}")
-        handle = self._engine.create_handle(self.target,
-                                            "yokan.scan_columns")
         suffix = bytes(suffix)
         # Flat framing: hundreds of prefix keys travel as two byte
         # strings instead of one archive value per key, and the blob
         # doubles as the server's page-cache token.
         blob, lens = packed.pack_prefixes(prefixes)
-        state = {"capacity":
-                 size_hint or (64 * len(prefixes) * max(1, len(fields))),
-                 "buffer": None, "bulk": None}
-
-        def issue():
-            buffer = bytearray(state["capacity"])
-            # Pin the Bulk in the closure: regions are weakly tracked,
-            # and the provider's RDMA push may land long after issue.
-            state["buffer"] = buffer
-            state["bulk"] = self._engine.expose(buffer, Bulk.READ_WRITE)
-            payload = self._seal(dumps((self.name, blob, lens, suffix,
-                                        fields, state["bulk"],
-                                        state["capacity"])))
-            return handle.iforward(payload, self.provider_id)
-
-        def finish(raw):
-            result = _unwrap(raw)
-            if isinstance(result, _Retry):
-                state["capacity"] = result.needed
-                raise _ResizeNeeded()
-            nprefixes, nbytes, crc = result
-            wire.verify_bulk(memoryview(state["buffer"])[:nbytes], crc,
-                             "scan_columns landing buffer")
-            return packed.unpack_column_page(
-                memoryview(state["buffer"])[:nbytes], nprefixes, len(fields))
-
-        return self._future(issue, finish,
-                            f"scan_columns[{len(prefixes)}]@{self.name}",
-                            dispatch=dispatch)
+        return self._landing_future(
+            "yokan.scan_columns",
+            size_hint or (64 * len(prefixes) * max(1, len(fields))),
+            lambda bulk, capacity: (self.name, blob, lens, suffix, fields,
+                                    bulk, capacity),
+            lambda view, nprefixes: packed.unpack_column_page(
+                view, nprefixes, len(fields)),
+            f"scan_columns[{len(prefixes)}]@{self.name}", dispatch)
 
     def put_multi_nb(self, pairs: Iterable[Tuple[bytes, bytes]],
                      *, dispatch: bool = True) -> OperationFuture:

@@ -331,6 +331,20 @@ class YokanProvider:
     # -- RPC handlers --------------------------------------------------------
     # Each returns response bytes (the engine auto-responds).
 
+    def _push_reply(self, req: RPCRequest, bulk, capacity: int, buffer,
+                    *head, crc: Optional[int] = None) -> bytes:
+        """Push ``buffer`` into the client's landing buffer and reply
+        ``(*head, nbytes, crc)`` (the client checks the CRC before
+        decoding), or ``("retry", nbytes)`` when it exceeds
+        ``capacity``."""
+        if len(buffer) > capacity:
+            return dumps(("retry", len(buffer)))
+        local = self.engine.expose(bytearray(buffer), Bulk.READ_ONLY)
+        req.bulk_transfer(BulkOp.PUSH, bulk, local, size=len(buffer))
+        if crc is None:
+            crc = wire.checksum(buffer)
+        return _ok((*head, len(buffer), crc))
+
     def _rpc_put(self, req: RPCRequest) -> bytes:
         try:
             name, key, value = loads(req.payload)
@@ -396,16 +410,7 @@ class YokanProvider:
                 req.trace_span.set_tag("db", name)
                 req.trace_span.set_tag("keys", len(keys))
             values = self._db(name).get_multi(list(keys))
-            packed = dumps(values)
-            if len(packed) > capacity:
-                # Client's landing buffer is too small; tell it how much
-                # space the packed response needs so it can retry.
-                return dumps(("retry", len(packed)))
-            local = self.engine.expose(bytearray(packed), Bulk.READ_ONLY)
-            req.bulk_transfer(BulkOp.PUSH, bulk, local, size=len(packed))
-            # The client verifies its landing buffer against this CRC
-            # before decoding, retrying the RPC on a corrupted push.
-            return _ok((len(packed), wire.checksum(packed)))
+            return self._push_reply(req, bulk, capacity, dumps(values))
         except _HANDLED_ERRORS as exc:
             return _err(exc)
 
@@ -427,11 +432,8 @@ class YokanProvider:
                 req.trace_span.set_tag("db", name)
                 req.trace_span.set_tag("prefixes", len(groups))
                 req.trace_span.set_tag("bytes", len(buffer))
-            if len(buffer) > capacity:
-                return dumps(("retry", len(buffer)))
-            local = self.engine.expose(bytearray(buffer), Bulk.READ_ONLY)
-            req.bulk_transfer(BulkOp.PUSH, bulk, local, size=len(buffer))
-            return _ok((len(groups), len(buffer), wire.checksum(buffer)))
+            return self._push_reply(req, bulk, capacity, buffer,
+                                    len(groups))
         except _HANDLED_ERRORS as exc:
             return _err(exc)
 
@@ -529,11 +531,8 @@ class YokanProvider:
                 req.trace_span.set_tag("fields", len(fields))
                 req.trace_span.set_tag("bytes", len(buffer))
                 req.trace_span.set_tag("page_cached", entry is not None)
-            if len(buffer) > capacity:
-                return dumps(("retry", len(buffer)))
-            local = self.engine.expose(bytearray(buffer), Bulk.READ_ONLY)
-            req.bulk_transfer(BulkOp.PUSH, bulk, local, size=len(buffer))
-            return _ok((nprefixes, len(buffer), crc))
+            return self._push_reply(req, bulk, capacity, buffer,
+                                    nprefixes, crc=crc)
         except _HANDLED_ERRORS as exc:
             return _err(exc)
 

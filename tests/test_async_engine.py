@@ -17,9 +17,11 @@ from repro.hepnos import (
     ParallelEventProcessor,
     PEPOptions,
     Prefetcher,
+    ProductCacheOptions,
     vector_of,
 )
 from repro.mercury import Engine, Fabric
+from repro.monitor.tracing import install_tracer, uninstall_tracer
 from repro.serial import serializable
 from repro.yokan import MemoryBackend, YokanClient, YokanProvider
 from repro.yokan.nonblocking import OperationFuture
@@ -228,18 +230,60 @@ class TestDataStoreIntegration:
     def test_shutdown_drains_outstanding(self):
         fabric, servers = _hepnos_world()
         engine = AsyncEngine(max_inflight=4)
-        datastore = DataStore.connect(fabric, servers, async_engine=engine)
+        # No product cache: the stores' write-through would answer the
+        # whole load locally and leave nothing in flight.
+        datastore = DataStore.connect(
+            fabric, servers, async_engine=engine,
+            product_cache=ProductCacheOptions(enabled=False))
         _populate(datastore, "nb/drain", subruns=1, events=16)
         subrun = datastore["nb/drain"][1][0]
         keys = [ev.key for ev in subrun]
-        group = datastore.load_products_bulk_nb(
-            keys, vector_of(Hit), label="hits"
-        )
+        group = datastore.load_products_packed_nb(
+            keys, [(vector_of(Hit), "hits")])
         assert len(group) >= 1
         datastore.shutdown()  # drains instead of abandoning the window
         assert engine.outstanding == 0
         assert engine.stats.completed == engine.stats.submitted
         assert group.done
+
+    def test_pipelined_pep_issues_the_blocking_rpcs(self):
+        """With two product specs a pipelined pass sends exactly the
+        RPCs of a blocking pass -- one packed load per shard and page,
+        no per-spec ``get_multi``."""
+        fabric, servers = _hepnos_world()
+        datastore = DataStore.connect(
+            fabric, servers,
+            product_cache=ProductCacheOptions(enabled=False))
+        dataset = _populate(datastore, "nb/rpcs", subruns=2, events=20)
+        for subrun in dataset[1]:
+            for event in subrun:
+                event.store(Hit(-float(event.number)), label="first")
+        specs = [(vector_of(Hit), "hits"), (Hit, "first")]
+
+        def one_pass():
+            seen = []
+            pep = ParallelEventProcessor(
+                datastore, options=PEPOptions(input_batch_size=8),
+                products=specs)
+            fabric.stats.reset()
+            tracer = install_tracer()
+            try:
+                pep.process(dataset, lambda ev: seen.append(
+                    (ev.triple(), ev.load(vector_of(Hit), label="hits"),
+                     ev.load(Hit, label="first"))))
+            finally:
+                uninstall_tracer()
+            return sorted(seen), fabric.stats.rpc_count, tracer.collector
+
+        blocking, blocking_rpcs, _ = one_pass()
+        AsyncEngine(datastore, max_inflight=4)
+        piped, piped_rpcs, spans = one_pass()
+        assert piped == blocking and len(piped) == 40
+        assert piped_rpcs == blocking_rpcs
+        assert spans.find("hepnos.load_products_packed_nb")
+        assert not spans.find("yokan.client.get_multi")
+        assert not spans.find("yokan.provider.get_multi")
+        datastore.shutdown()
 
     def test_prefetcher_double_buffering_matches_sync(self):
         fabric, servers = _hepnos_world()

@@ -195,17 +195,33 @@ class TestDataStoreCache:
                 event.store(Hit(float(i)), label="h", batch=batch)
                 event.store([Hit(float(i))], label="v", batch=batch)
         keys = [ev.key for ev in subrun]
-        out = datastore.load_products_bulk(keys, Hit, label="h")
+        spec = (product_type_name(Hit), "h")
+        out = datastore.load_products_packed(keys, [(Hit, "h")])[spec]
         assert [h.adc for h in out] == [float(i) for i in range(8)]
-        packed_out = datastore.load_products_packed(keys, [(Hit, "h")])
-        assert packed_out[(product_type_name(Hit), "h")] == out
+        nb_out = datastore.load_products_packed_nb(keys, [(Hit, "h")]).wait()
+        assert nb_out[spec] == out
         for _ in range(2):
             block = datastore.load_products_columnar(
                 keys, vector_of(Hit), ["adc"], label="v")
             assert block.column("adc").tolist() == [float(i) for i in range(8)]
-        # Scan resistance: no streaming load (bulk, packed, columnar)
-        # inserted anything.
+        # Scan resistance: no streaming load (packed, non-blocking
+        # packed, columnar) inserted anything.
         assert len(datastore._product_cache) == 0
+        # The per-event point read agrees (and does populate).
+        assert _point_reads(datastore, keys, Hit, "h") == out
+        assert len(datastore._product_cache) == 8
+
+
+def _point_reads(datastore, keys, product_type, label):
+    """Per-event ``load_product`` of every key (``None`` when absent):
+    the reference every batch load must agree with."""
+    out = []
+    for key in keys:
+        try:
+            out.append(datastore.load_product(key, product_type, label=label))
+        except ProductNotFound:
+            out.append(None)
+    return out
 
 
 class TestLoadProductsPacked:
@@ -222,12 +238,11 @@ class TestLoadProductsPacked:
         keys = [ev.key for ev in subrun]
         specs = [(vector_of(Hit), "hits"), (Hit, "flag")]
         out = datastore.load_products_packed(keys, specs)
-        for spec in specs:
-            from repro.hepnos import product_type_name
-
-            resolved = (product_type_name(spec[0]), spec[1])
-            bulk = datastore.load_products_bulk(keys, spec[0], label=spec[1])
-            assert out[resolved] == bulk
+        for ptype, label in specs:
+            reference = _point_reads(datastore, keys, ptype, label)
+            assert out[(product_type_name(ptype), label)] == reference
+        flags = out[(product_type_name(Hit), "flag")]
+        assert sum(flag is None for flag in flags) == 10
 
     def test_pep_packed_and_unpacked_agree(self, datastore):
         ds = datastore.create_dataset("pk2")
@@ -238,11 +253,11 @@ class TestLoadProductsPacked:
                 event = subrun.create_event(i, batch=batch)
                 event.store([Hit(float(i))], label="hits", batch=batch)
 
-        def run(options):
+        def run(products):
             seen = []
             pep = ParallelEventProcessor(
-                datastore, options=options,
-                products=[(vector_of(Hit), "hits")],
+                datastore, options=PEPOptions(input_batch_size=16),
+                products=products,
             )
             pep.process(ds, lambda ev: seen.append(
                 (ev.triple(), [h.adc for h in ev.load(vector_of(Hit),
@@ -250,8 +265,9 @@ class TestLoadProductsPacked:
             ))
             return sorted(seen)
 
-        fast = run(PEPOptions(input_batch_size=16))
-        slow = run(PEPOptions(input_batch_size=16, packed_loads=False))
+        fast = run([(vector_of(Hit), "hits")])
+        # Nothing prefetched: every ev.load is a per-event load_product.
+        slow = run([])
         assert fast == slow
         assert len(fast) == 30
 
@@ -264,10 +280,11 @@ class TestLoadProductsPacked:
                 if i % 3:
                     event.store(Hit(float(i)), label="h", batch=batch)
 
-        def run(options):
+        def run(products):
             out = []
-            prefetcher = Prefetcher(datastore, options=options,
-                                    products=[(Hit, "h")])
+            prefetcher = Prefetcher(datastore,
+                                    options=PrefetchOptions(batch_size=5),
+                                    products=products)
             for ev in prefetcher.events(subrun):
                 try:
                     out.append((ev.number, ev.load(Hit, label="h").adc))
@@ -275,8 +292,9 @@ class TestLoadProductsPacked:
                     out.append((ev.number, None))
             return out
 
-        fast = run(PrefetchOptions(batch_size=5))
-        slow = run(PrefetchOptions(batch_size=5, packed_loads=False))
+        fast = run([(Hit, "h")])
+        # Nothing prefetched: every ev.load is a per-event load_product.
+        slow = run([])
         assert fast == slow
         assert len(fast) == 12
 

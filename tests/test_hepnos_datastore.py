@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ContainerNotFound, HEPnOSError, ProductNotFound
-from repro.hepnos import DataStore, vector_of
+from repro.hepnos import DataStore, product_type_name, vector_of
 from repro.serial import serializable
 
 
@@ -190,14 +190,17 @@ class TestProducts:
         for i, event in enumerate(events):
             if i % 2 == 0:
                 event.store(Particle(float(i), 0, 0), label="p")
-        values = datastore.load_products_bulk(
-            [e.key for e in events], Particle, label="p"
-        )
-        for i, value in enumerate(values):
+        values = datastore.load_products_packed(
+            [e.key for e in events], [(Particle, "p")]
+        )[(product_type_name(Particle), "p")]
+        for i, (event, value) in enumerate(zip(events, values)):
             if i % 2 == 0:
                 assert value == Particle(float(i), 0, 0)
+                assert event.load(Particle, label="p") == value
             else:
                 assert value is None
+                with pytest.raises(ProductNotFound):
+                    event.load(Particle, label="p")
 
     def test_default_label(self, datastore):
         ds = datastore.create_dataset("prod8")

@@ -8,6 +8,8 @@ from repro.faults.retry import RETRYABLE_ERRORS
 from repro.hepnos import (
     AsyncEngine,
     DataStore,
+    Prefetcher,
+    PrefetchOptions,
     ProductCacheOptions,
     WriteBatch,
     product_type_name,
@@ -290,6 +292,45 @@ class TestLiveRescale:
             for backend in provider.databases.values():
                 assert len(backend) == 0
 
+    def test_pipelined_prefetch_reruns_a_stale_page(self, fabric, service):
+        """A live rescale that begins inside the lookahead window stales
+        the page already in flight; the Prefetcher re-runs that page
+        through the blocking load and still yields every event."""
+        datastore = DataStore.connect(
+            fabric, service,
+            product_cache=ProductCacheOptions(enabled=False))
+        ds, expected = populate(datastore, "stalepage", runs=1, subruns=1,
+                                events=24)
+        AsyncEngine(datastore, max_inflight=4)
+        # The second spec is never stored, so its slots stay unanswered
+        # and a map that moved under the page is detected as stale.
+        prefetcher = Prefetcher(
+            datastore, options=PrefetchOptions(batch_size=8),
+            products=[(vector_of(Blob), "blob"), (Blob, "absent")])
+        reruns = []
+        blocking = datastore.load_products_packed
+
+        def counting(keys, specs):
+            reruns.append(len(keys))
+            return blocking(keys, specs)
+
+        datastore.load_products_packed = counting
+        rescaler = LiveRescaler(
+            datastore, add_server(datastore.connection, new_server(fabric, 15)),
+            batch_size=4)
+        seen = {}
+        for event in prefetcher.events(ds[0][0]):
+            if not seen:
+                rescaler.begin()  # page 2's load is already on the wire
+            seen[event.triple()] = event.load(vector_of(Blob), label="blob")
+            assert event.prefetched(Blob, "absent") is None
+        assert seen == expected
+        assert reruns == [8]  # exactly the staled page re-ran
+        while rescaler.step():
+            pass
+        rescaler.commit()
+        datastore.shutdown()
+
     def test_commit_refuses_with_pending_chunks(self, fabric, service,
                                                 datastore):
         populate(datastore, "refuse")
@@ -322,25 +363,28 @@ def _columnar_values(block):
     return out
 
 
-def _read_bulk_nb_engine(datastore, world):
+_BLOB_SPEC = (product_type_name(vector_of(Blob)), "blob")
+
+
+def _read_packed_nb(datastore, world):
+    return _values(datastore.load_products_packed_nb(
+        world["keys"], [(vector_of(Blob), "blob")]).wait()[_BLOB_SPEC])
+
+
+def _read_packed_nb_engine(datastore, world):
     engine = AsyncEngine(datastore, max_inflight=2)
     try:
-        return _values(datastore.load_products_bulk_nb(
-            world["keys"], vector_of(Blob), label="blob").wait())
+        return _read_packed_nb(datastore, world)
     finally:
         engine.drain()
 
 
 #: every DataStore read entry point, reduced to plain comparable values
 READERS = {
-    "load_products_bulk": lambda ds, w: _values(ds.load_products_bulk(
-        w["keys"], vector_of(Blob), label="blob")),
-    "load_products_bulk_nb": lambda ds, w: _values(ds.load_products_bulk_nb(
-        w["keys"], vector_of(Blob), label="blob").wait()),
-    "load_products_bulk_nb+engine": _read_bulk_nb_engine,
     "load_products_packed": lambda ds, w: _values(ds.load_products_packed(
-        w["keys"], [(vector_of(Blob), "blob")])[
-            (product_type_name(vector_of(Blob)), "blob")]),
+        w["keys"], [(vector_of(Blob), "blob")])[_BLOB_SPEC]),
+    "load_products_packed_nb": _read_packed_nb,
+    "load_products_packed_nb+engine": _read_packed_nb_engine,
     "load_products_columnar": lambda ds, w: _columnar_values(
         ds.load_products_columnar(w["keys"], vector_of(Blob), ["value"],
                                   label="blob")),
@@ -394,7 +438,7 @@ class TestMidMigrationParity:
         }
         read = READERS[reader]
         baseline = read(datastore, world)
-        if reader == "load_products_bulk":
+        if reader == "load_products_packed":
             assert sorted(v for v in baseline if v is not None) == sorted(
                 [b.value for b in v] for v in expected.values())
         rescaler = LiveRescaler(
