@@ -191,7 +191,6 @@ def default_hepnos_config(
     client: Optional[dict] = None,
     durability_root: Optional[str] = None,
     wal_checkpoint_bytes: Optional[int] = None,
-    wal_sync: bool = False,
     replication: Optional[int] = None,
     tenants: Optional[dict] = None,
 ) -> dict:
@@ -205,13 +204,16 @@ def default_hepnos_config(
     :func:`~repro.hepnos.connection_from_servers` propagates to every
     connecting DataStore.
 
-    ``durability_root`` gives every database a write-ahead log at
-    ``<durability_root>/<db_name>.wal`` (checkpointed at
-    ``wal_checkpoint_bytes``): a server restarted after
-    ``crash(lose_state=True)`` then recovers its state by replaying
-    checkpoint + log.  ``replication`` (when >= 2) is recorded in the
-    config and picked up by ``connection_from_servers`` so clients and
-    the replication wiring agree on the copy count.
+    ``durability_root`` makes the ``map`` backend durable: every
+    database gets a write-ahead log at ``<durability_root>/<db_name>.wal``
+    (checkpointed at ``wal_checkpoint_bytes``; a ``sync_wal`` key in
+    ``backend_config`` fsyncs each append), and a server restarted
+    after ``crash(lose_state=True)`` recovers its state by replaying
+    checkpoint + log.  The persistent backends keep their own log under
+    ``storage_root``, so ``durability_root`` with any other backend
+    raises :class:`ConfigError`.  ``replication`` (when >= 2) is
+    recorded in the config and picked up by ``connection_from_servers``
+    so clients and the replication wiring agree on the copy count.
 
     ``tenants`` enables the multi-tenant request broker
     (:class:`~repro.broker.RequestBroker`): a dict with optional
@@ -224,6 +226,10 @@ def default_hepnos_config(
     """
     if backend != "map" and storage_root is None:
         raise ConfigError(f"backend {backend!r} needs a storage_root")
+    if backend != "map" and durability_root is not None:
+        raise ConfigError(
+            f"durability_root applies to the 'map' backend only; "
+            f"{backend!r} logs every write under its storage_root")
     pools = [{"name": f"pool-{i}", "kind": "fifo"} for i in range(num_providers)]
     xstreams = [
         {"name": f"es-{i}", "pools": [f"pool-{i}"]} for i in range(num_providers)
@@ -237,8 +243,6 @@ def default_hepnos_config(
             config["wal_path"] = f"{durability_root}/{name}.wal"
             if wal_checkpoint_bytes is not None:
                 config["wal_checkpoint_bytes"] = int(wal_checkpoint_bytes)
-            if wal_sync:
-                config["wal_sync"] = True
         return {"name": name, "type": backend, "config": config}
 
     databases_per_provider: list[list[dict]] = [[] for _ in range(num_providers)]

@@ -200,8 +200,7 @@ class BedrockServer:
 
     def storage_stats(self) -> dict[str, dict]:
         """Per-database storage-engine stats, for databases whose
-        backend exposes ``lsm_stats()`` (the LSM engine, possibly
-        wrapped in a :class:`DurableBackend`)."""
+        backend exposes ``lsm_stats()`` (the LSM engine)."""
         out: dict[str, dict] = {}
         for backends in self._backends.values():
             for name, backend in backends.items():

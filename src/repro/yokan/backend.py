@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import abc
+import inspect
 from typing import Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import AddressError, ConfigError, DatabaseClosed, KeyNotFound
@@ -24,31 +25,36 @@ def register_backend(kind: str):
 def open_backend(kind: str, **config) -> "Backend":
     """Instantiate a backend by kind name (``map``, ``lsm``, ``btree``).
 
-    A ``wal_path`` in the config wraps the backend in a
-    :class:`~repro.yokan.backends.wal.DurableBackend`: mutations are
-    CRC-framed into a write-ahead log (checkpointed at
-    ``wal_checkpoint_bytes``) and replayed here on reopen, so a
-    restarted server recovers state even when the inner backend is
-    volatile.
+    Durability belongs to the kind.  ``lsm`` and ``btree`` keep every
+    acknowledged write under their own ``path``.  A ``map`` is volatile
+    unless its config carries a ``wal_path``: it then opens as a
+    :class:`~repro.yokan.backends.wal.DurableBackend`, which logs every
+    mutation (checkpointed at ``wal_checkpoint_bytes``, fsynced per
+    append with ``sync_wal``) and replays checkpoint + log here, so a
+    restarted server recovers its state.
+
+    Raises :class:`ConfigError` for an unknown kind and for any config
+    key the kind does not take -- a ``wal_path`` on ``lsm`` or
+    ``btree`` included -- so a typo in a Bedrock config is never
+    silently dropped.
     """
-    wal_path = config.pop("wal_path", None)
-    wal_checkpoint_bytes = config.pop("wal_checkpoint_bytes", None)
-    wal_sync = config.pop("wal_sync", False)
     try:
         cls = BACKEND_KINDS[kind]
     except KeyError:
         raise ConfigError(
             f"unknown backend kind {kind!r}; known: {sorted(BACKEND_KINDS)}"
         ) from None
-    backend = cls(**config)
-    if wal_path:
+    if kind == "map" and "wal_path" in config:
         from repro.yokan.backends.wal import DurableBackend
 
-        kwargs = {"sync": bool(wal_sync)}
-        if wal_checkpoint_bytes is not None:
-            kwargs["checkpoint_bytes"] = int(wal_checkpoint_bytes)
-        backend = DurableBackend(backend, wal_path, **kwargs)
-    return backend
+        cls = DurableBackend
+    known = inspect.signature(cls).parameters
+    for key in config:
+        if key not in known:
+            raise ConfigError(
+                f"backend {kind!r} has no config key {key!r}; "
+                f"known: {sorted(known)}")
+    return cls(**config)
 
 
 def prefix_upper_bound(prefix: bytes) -> Optional[bytes]:

@@ -2,8 +2,9 @@
 
 Design (LMDB/BoltDB flavored):
 
-- nodes are immutable records in an append-only data file; a node's id
-  is its file offset;
+- nodes are immutable records in an append-only data file, framed
+  like WAL records (:func:`repro.yokan.backends.wal.write_frame`); a
+  node's id is its file offset;
 - mutations copy the root-to-leaf path, appending new nodes, then
   atomically swap the header (root pointer + entry count) on commit;
 - a crash between append and header swap leaves the previous, intact
@@ -21,16 +22,14 @@ from __future__ import annotations
 import bisect
 import json
 import os
-import struct
-import zlib
 from collections import OrderedDict
 from typing import Iterator, Optional, Tuple
 
 from repro.errors import CorruptionError, KeyNotFound
 from repro.serial import dumps, loads
 from repro.yokan.backend import Backend, register_backend
+from repro.yokan.backends.wal import read_frame, write_frame
 
-_REC_HEADER = struct.Struct("<II")  # length, crc32
 _LEAF, _INNER = 0, 1
 
 
@@ -52,7 +51,7 @@ class BTreeBackend(Backend):
     """Persistent ordered store with copy-on-write B+tree pages."""
 
     def __init__(self, path: str, order: int = 64, commit_every: int = 1,
-                 cache_nodes: int = 4096, **_unused):
+                 cache_nodes: int = 4096):
         super().__init__()
         if order < 4:
             raise ValueError("order must be >= 4")
@@ -103,8 +102,7 @@ class BTreeBackend(Backend):
     def _append_node(self, node: _Node) -> int:
         payload = dumps((node.kind, node.keys, node.payload))
         offset = self._data.tell()
-        self._data.write(_REC_HEADER.pack(len(payload), zlib.crc32(payload)))
-        self._data.write(payload)
+        write_frame(self._data, payload)
         self._cache_put(offset, node)
         return offset
 
@@ -117,12 +115,8 @@ class BTreeBackend(Backend):
         self._data.flush()
         with open(self._data_path, "rb") as f:
             f.seek(offset)
-            header = f.read(_REC_HEADER.size)
-            if len(header) < _REC_HEADER.size:
-                raise CorruptionError(f"truncated node header at {offset}")
-            length, crc = _REC_HEADER.unpack(header)
-            payload = f.read(length)
-        if len(payload) < length or zlib.crc32(payload) != crc:
+            payload = read_frame(f)
+        if payload is None:
             raise CorruptionError(f"corrupt node at {offset}")
         kind, keys, values = loads(payload)
         node = _Node(kind, list(keys), list(values))
@@ -346,3 +340,12 @@ class BTreeBackend(Backend):
             self._commit(force=True)
             self._data.close()
             super().close()
+
+    def crash(self) -> None:
+        """Simulate losing the process: mutations after the last commit
+        are lost, since the header never points at their nodes.  The
+        data file is closed here so its buffered, unreferenced tail
+        lands before a restarted backend appends, never among its
+        nodes."""
+        super().crash()
+        self._data.close()

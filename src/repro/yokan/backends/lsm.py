@@ -26,10 +26,11 @@ Production-shaped engine (PR 10), replacing the seed's inline design:
   seed's merge-everything policy, and ``background=False`` restores
   inline flushes -- together they are the benchmark's seed baseline.
 
-Crash-safety contract (composes with ``BedrockServer.crash(
-lose_state=True)`` and, when configured, an outer ``DurableBackend``):
-a WAL segment is deleted only *after* the SSTable holding its data is
-durable (fsynced, renamed, and referenced by the fsynced MANIFEST).
+Crash-safety contract (what ``BedrockServer.crash(lose_state=True)``
+relies on; the engine takes no outer log): WAL records use the shared
+format of :mod:`repro.yokan.backends.wal`, and a WAL segment is
+deleted only *after* the SSTable holding its data is durable (fsynced,
+renamed, and referenced by the fsynced MANIFEST).
 A crash mid-flush or mid-compaction leaves either orphan files (not in
 the manifest: removed on recovery) or undeleted segments (replayed
 idempotently) -- never a hole.
@@ -58,9 +59,15 @@ from repro.errors import ConfigError, CorruptionError, KeyNotFound
 from repro.monitor import tracing as _tracing
 from repro.utils import SkipListMap
 from repro.yokan.backend import Backend, prefix_upper_bound, register_backend
+from repro.yokan.backends.wal import (
+    decode_record,
+    encode_erase,
+    encode_put,
+    encode_put_multi,
+    read_wal_records,
+    write_frame,
+)
 
-_WAL_HEADER = struct.Struct("<II")  # payload length, crc32
-_U32 = struct.Struct("<I")
 _ENTRY = struct.Struct("<II")  # key length, value length
 _SST_MAGIC = b"SSTB0002"
 _FOOTER_LEN = struct.Struct("<Q")
@@ -552,8 +559,7 @@ class LSMBackend(Backend):
                  throttle_backlog: int = 8, throttle_sleep_s: float = 0.002,
                  block_bytes: int = 4096,
                  block_cache_bytes: int = 8 * 1024 * 1024,
-                 bits_per_key: int = 10, compression: Optional[str] = None,
-                 **_unused):
+                 bits_per_key: int = 10, compression: Optional[str] = None):
         super().__init__()
         if compaction not in ("tiered", "full"):
             raise ConfigError(
@@ -634,16 +640,14 @@ class LSMBackend(Backend):
         else:
             self._active_segments.append(name)
 
-    def _wal_append(self, payload: bytes, flush: bool = True) -> None:
-        self._wal.write(_WAL_HEADER.pack(len(payload), zlib.crc32(payload)))
-        self._wal.write(payload)
-        if flush:
-            # Reach the OS on every record: a simulated process crash
-            # (file object abandoned, never closed) still finds every
-            # acknowledged write on disk.
-            self._wal.flush()
-            if self.sync_wal:
-                os.fsync(self._wal.fileno())
+    def _wal_append(self, payload: bytes) -> None:
+        write_frame(self._wal, payload)
+        # Reach the OS on every record: a simulated process crash (file
+        # object abandoned, never closed) still finds every
+        # acknowledged write on disk.
+        self._wal.flush()
+        if self.sync_wal:
+            os.fsync(self._wal.fileno())
         self.stats.wal_bytes += len(payload)
 
     # -- recovery ---------------------------------------------------------
@@ -692,43 +696,15 @@ class LSMBackend(Backend):
             self._live_keys = None
 
     def _replay_segment(self, path: str) -> bool:
-        """Replay one WAL segment into the memtable; True if non-empty."""
-        replayed = False
-        with open(path, "rb") as f:
-            while True:
-                header = f.read(_WAL_HEADER.size)
-                if len(header) < _WAL_HEADER.size:
-                    break
-                length, crc = _WAL_HEADER.unpack(header)
-                payload = f.read(length)
-                if len(payload) < length or zlib.crc32(payload) != crc:
-                    # Torn tail write: everything before it is intact.
-                    break
-                self._apply_record(payload)
-                replayed = True
-        return replayed
+        """Replay one WAL segment into the memtable; True if non-empty.
 
-    def _apply_record(self, payload: bytes) -> None:
-        op = payload[0:1]
-        if op == b"P":
-            (klen,) = _U32.unpack_from(payload, 1)
-            key = payload[5:5 + klen]
-            self._memtable_put(key, payload[5 + klen:])
-        elif op == b"D":
-            (klen,) = _U32.unpack_from(payload, 1)
-            self._memtable_put(payload[5:5 + klen], _TOMBSTONE)
-        elif op == b"M":
-            (count,) = _U32.unpack_from(payload, 1)
-            offset = 5
-            for _ in range(count):
-                klen, vlen = _ENTRY.unpack_from(payload, offset)
-                offset += 8
-                key = payload[offset:offset + klen]
-                offset += klen
-                self._memtable_put(key, payload[offset:offset + vlen])
-                offset += vlen
-        else:
-            raise CorruptionError(f"unknown LSM WAL opcode {op!r}")
+        Replay stops at a torn tail: everything before it is intact.
+        """
+        payloads, _ = read_wal_records(path)
+        for payload in payloads:
+            for key, value in decode_record(payload):
+                self._memtable_put(key, _TOMBSTONE if value is None else value)
+        return bool(payloads)
 
     # -- memtable ---------------------------------------------------------
 
@@ -1149,7 +1125,7 @@ class LSMBackend(Backend):
             self._apply_write_pressure()
         with self._lock:
             self._check_open()
-            self._wal_append(b"P" + _U32.pack(len(key)) + key + value)
+            self._wal_append(encode_put(key, value))
             self._account_put_locked(key)
             self._memtable_put(key, value)
             self.stats.logical_bytes += len(key) + len(value)
@@ -1166,14 +1142,10 @@ class LSMBackend(Backend):
             return 0
         if self.background:
             self._apply_write_pressure()
-        parts = [b"M", _U32.pack(len(pairs))]
-        for key, value in pairs:
-            parts.append(_ENTRY.pack(len(key), len(value)))
-            parts.append(key)
-            parts.append(value)
+        payload = encode_put_multi(pairs)
         with self._lock:
             self._check_open()
-            self._wal_append(b"".join(parts))
+            self._wal_append(payload)
             for key, value in pairs:
                 self._account_put_locked(key)
                 self._memtable_put(key, value)
@@ -1233,7 +1205,7 @@ class LSMBackend(Backend):
             self._check_open()
             if not self._exists_internal(key):
                 raise KeyNotFound(repr(key))
-            self._wal_append(b"D" + _U32.pack(len(key)) + key)
+            self._wal_append(encode_erase(key))
             if self._live_keys is not None:
                 self._live_keys -= 1
             self._memtable_put(key, _TOMBSTONE)

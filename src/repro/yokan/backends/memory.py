@@ -18,7 +18,7 @@ class MemoryBackend(Backend):
     data lives exactly as long as the service.
     """
 
-    def __init__(self, seed: int = 0x5EED, **_unused):
+    def __init__(self, seed: int = 0x5EED):
         super().__init__()
         self._map = SkipListMap(seed=seed)
         self._bytes = 0

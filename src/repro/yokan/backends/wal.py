@@ -1,51 +1,162 @@
-"""Durability wrapper: write-ahead log + checkpoints over any backend.
+"""The WAL record format, and the durable ``map`` built on it.
 
-``DurableBackend`` wraps an inner :class:`Backend` (typically the
-in-memory ``map``) and makes it crash-recoverable:
+This module is the one home of the storage layer's log framing.  A record is a
+``<II`` header (payload length, crc32) followed by the payload; the
+LSM's WAL segments, the B-tree's node file and the durable map's log
+all write and read records through :func:`write_frame` and
+:func:`read_frame`.  Log payloads start with an opcode:
 
-- every mutating verb appends one CRC-framed record to a per-database
-  WAL file *before* the operation is acknowledged;
-- when the log grows past ``checkpoint_bytes`` the whole inner backend
-  is snapshotted to an atomic checkpoint file (tmp + fsync +
-  ``os.replace``) and the log is truncated;
-- on open, the checkpoint (if any) is loaded and the WAL replayed on
-  top of it.  Replay stops cleanly at a torn tail: a record whose
-  payload is short or whose CRC mismatches marks the end of the
-  recoverable history, everything before it is kept.
+- ``P``: single put    -- ``P u32(klen) key value``
+- ``D``: single erase  -- ``D key``
+- ``M``: batched puts  -- ``M u32(n) (u32(klen) u32(vlen) key value)*``
+- ``E``: batched erase -- ``E u32(n) (u32(klen) key)*``
 
-Record framing matches the LSM backend's WAL: a ``<II`` header
-(payload length, crc32) followed by the payload.  Payload opcodes:
+:func:`decode_record` turns a payload back into ``(key, value)``
+mutations, ``value`` being ``None`` for an erase.  Batch verbs log one
+record per batch, so the hot ingest path (write batches flushing via
+``put_multi``) pays one frame per flush, not one per key.
 
-- ``P``: single put    — ``P u32(klen) key value``
-- ``D``: single erase  — ``D key``
-- ``M``: batched puts  — ``M u32(n) (u32(klen) u32(vlen) key value)*``
-- ``E``: batched erase — ``E u32(n) (u32(klen) key)*``
-
-Batch verbs log one record per batch, so the hot ingest path (write
-batches flushing via ``put_multi``) pays one frame per flush, not one
-per key.  Replay is idempotent: erases of absent keys are skipped, so
-re-replaying after a crash during checkpointing is safe.
+:class:`DurableBackend` is the durable ``map``: a
+:class:`~repro.yokan.backends.memory.MemoryBackend` whose mutating
+verbs append a record to ``wal_path`` *before* they are acknowledged.
+Once the log passes ``wal_checkpoint_bytes`` the whole map is
+snapshotted to an atomic checkpoint file (tmp + fsync + ``os.replace``)
+and the log truncated.  On open the checkpoint (if any) is loaded and
+the log replayed on top; replay stops cleanly at a torn tail and is
+idempotent (erases of absent keys are skipped), so re-replaying after
+a crash during checkpointing is safe.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 import time
 import zlib
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import BinaryIO, Iterable, Iterator, Optional, Sequence, Tuple
 
 from repro.errors import CorruptionError, KeyNotFound
-from repro.yokan.backend import Backend
+from repro.yokan.backends.memory import MemoryBackend
 
-_REC_HEADER = struct.Struct("<II")  # payload length, crc32
+_FRAME = struct.Struct("<II")  # payload length, crc32
 _U32 = struct.Struct("<I")
+_ENTRY = struct.Struct("<II")  # key length, value length
 _CKPT_MAGIC = b"CKPT0001"
 _CKPT_FOOTER = struct.Struct("<QI")  # entry count, crc32 of entry region
 
 #: Default checkpoint cadence: snapshot once the WAL passes this size.
 DEFAULT_CHECKPOINT_BYTES = 4 * 1024 * 1024
+
+# -- framing -------------------------------------------------------------------
+
+
+def write_frame(f: BinaryIO, payload: bytes) -> int:
+    """Append one framed record to ``f``; returns the bytes written."""
+    f.write(_FRAME.pack(len(payload), zlib.crc32(payload)))
+    f.write(payload)
+    return _FRAME.size + len(payload)
+
+
+def read_frame(f: BinaryIO) -> Optional[bytes]:
+    """The payload of the record at ``f``'s position.
+
+    ``None`` at end of file and at a record that is short or fails its
+    CRC -- a torn tail from a crash mid-append.
+    """
+    header = f.read(_FRAME.size)
+    if len(header) < _FRAME.size:
+        return None
+    length, crc = _FRAME.unpack(header)
+    payload = f.read(length)
+    if len(payload) < length or zlib.crc32(payload) != crc:
+        return None
+    return payload
+
+
+def read_wal_records(path: str) -> Tuple[list[bytes], int]:
+    """All whole records in the log at ``path``.
+
+    Returns ``(payloads, torn_bytes)`` where ``torn_bytes`` counts the
+    trailing bytes that did not form a complete, CRC-valid record.
+    Never raises on a torn tail -- durability means recovering *up to*
+    the last whole record.
+    """
+    payloads: list[bytes] = []
+    if not os.path.exists(path):
+        return payloads, 0
+    with open(path, "rb") as f:
+        data = f.read()
+    # Parse from memory: a damaged header's length then reads short
+    # instead of sizing a buffer from garbage.
+    buf = io.BytesIO(data)
+    whole = 0
+    while (payload := read_frame(buf)) is not None:
+        payloads.append(payload)
+        whole = buf.tell()
+    return payloads, len(data) - whole
+
+
+# -- record codec ----------------------------------------------------------------
+
+
+def encode_put(key: bytes, value: bytes) -> bytes:
+    return b"P" + _U32.pack(len(key)) + key + value
+
+
+def encode_erase(key: bytes) -> bytes:
+    return b"D" + key
+
+
+def encode_put_multi(pairs: Sequence[Tuple[bytes, bytes]]) -> bytes:
+    parts = [b"M", _U32.pack(len(pairs))]
+    for key, value in pairs:
+        parts.append(_ENTRY.pack(len(key), len(value)))
+        parts.append(key)
+        parts.append(value)
+    return b"".join(parts)
+
+
+def encode_erase_multi(keys: Sequence[bytes]) -> bytes:
+    parts = [b"E", _U32.pack(len(keys))]
+    for key in keys:
+        parts.append(_U32.pack(len(key)))
+        parts.append(key)
+    return b"".join(parts)
+
+
+def decode_record(payload: bytes) -> Iterator[Tuple[bytes, Optional[bytes]]]:
+    """Yield (key, value-or-None-for-erase) mutations from one record."""
+    op = payload[:1]
+    if op == b"P":
+        (klen,) = _U32.unpack_from(payload, 1)
+        yield payload[5:5 + klen], payload[5 + klen:]
+    elif op == b"D":
+        yield payload[1:], None
+    elif op == b"M":
+        (count,) = _U32.unpack_from(payload, 1)
+        offset = 5
+        for _ in range(count):
+            klen, vlen = _ENTRY.unpack_from(payload, offset)
+            offset += _ENTRY.size
+            key = payload[offset:offset + klen]
+            offset += klen
+            yield key, payload[offset:offset + vlen]
+            offset += vlen
+    elif op == b"E":
+        (count,) = _U32.unpack_from(payload, 1)
+        offset = 5
+        for _ in range(count):
+            (klen,) = _U32.unpack_from(payload, offset)
+            offset += 4
+            yield payload[offset:offset + klen], None
+            offset += klen
+    else:
+        raise CorruptionError(f"unknown WAL opcode {op!r}")
+
+
+# -- checkpoints ---------------------------------------------------------------
 
 
 @dataclass
@@ -67,67 +178,6 @@ def checkpoint_path(wal_path: str) -> str:
     return wal_path + ".ckpt"
 
 
-def _frame(payload: bytes) -> bytes:
-    return _REC_HEADER.pack(len(payload), zlib.crc32(payload)) + payload
-
-
-def read_wal_records(path: str) -> Tuple[list[bytes], int]:
-    """All whole records in the WAL at ``path``.
-
-    Returns ``(payloads, torn_bytes)`` where ``torn_bytes`` counts the
-    trailing bytes that did not form a complete, CRC-valid record (a
-    torn tail from a crash mid-append).  Never raises on a torn tail —
-    durability means recovering *up to* the last whole record.
-    """
-    payloads: list[bytes] = []
-    if not os.path.exists(path):
-        return payloads, 0
-    with open(path, "rb") as f:
-        data = f.read()
-    offset = 0
-    while offset + _REC_HEADER.size <= len(data):
-        length, crc = _REC_HEADER.unpack_from(data, offset)
-        start = offset + _REC_HEADER.size
-        payload = data[start:start + length]
-        if len(payload) < length or zlib.crc32(payload) != crc:
-            break
-        payloads.append(payload)
-        offset = start + length
-    return payloads, len(data) - offset
-
-
-def _decode_record(payload: bytes) -> Iterator[Tuple[bytes, Optional[bytes]]]:
-    """Yield (key, value-or-None-for-erase) mutations from one record."""
-    op = payload[:1]
-    if op == b"P":
-        (klen,) = _U32.unpack_from(payload, 1)
-        key = payload[5:5 + klen]
-        yield key, payload[5 + klen:]
-    elif op == b"D":
-        yield payload[1:], None
-    elif op == b"M":
-        (count,) = _U32.unpack_from(payload, 1)
-        offset = 5
-        for _ in range(count):
-            klen, vlen = struct.unpack_from("<II", payload, offset)
-            offset += 8
-            key = payload[offset:offset + klen]
-            offset += klen
-            value = payload[offset:offset + vlen]
-            offset += vlen
-            yield key, value
-    elif op == b"E":
-        (count,) = _U32.unpack_from(payload, 1)
-        offset = 5
-        for _ in range(count):
-            (klen,) = _U32.unpack_from(payload, offset)
-            offset += 4
-            yield payload[offset:offset + klen], None
-            offset += klen
-    else:
-        raise CorruptionError(f"unknown WAL opcode {op!r}")
-
-
 def _write_checkpoint(path: str, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
     """Atomically snapshot ``pairs`` to ``path``; returns bytes written."""
     tmp = path + ".tmp"
@@ -136,7 +186,7 @@ def _write_checkpoint(path: str, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
     with open(tmp, "wb") as f:
         f.write(_CKPT_MAGIC)
         for key, value in pairs:
-            entry = struct.pack("<II", len(key), len(value)) + key + value
+            entry = _ENTRY.pack(len(key), len(value)) + key + value
             crc = zlib.crc32(entry, crc)
             f.write(entry)
             count += 1
@@ -165,37 +215,34 @@ def _read_checkpoint(path: str) -> Optional[list[Tuple[bytes, bytes]]]:
     entries: list[Tuple[bytes, bytes]] = []
     offset = 0
     for _ in range(count):
-        klen, vlen = struct.unpack_from("<II", region, offset)
-        offset += 8
+        klen, vlen = _ENTRY.unpack_from(region, offset)
+        offset += _ENTRY.size
         key = region[offset:offset + klen]
         offset += klen
-        value = region[offset:offset + vlen]
+        entries.append((key, region[offset:offset + vlen]))
         offset += vlen
-        entries.append((key, value))
     return entries
 
 
-class DurableBackend(Backend):
-    """WAL + checkpoint durability over any inner backend.
+# -- the durable map -------------------------------------------------------------
 
-    Not registered as its own kind: ``open_backend`` wraps whatever
-    kind is configured whenever the database config carries a
-    ``wal_path``.
+
+class DurableBackend(MemoryBackend):
+    """The ``map`` backend with a WAL + checkpoints under ``wal_path``.
+
+    Not registered as its own kind: ``open_backend("map", ...)`` builds
+    one whenever the database config carries a ``wal_path``.
+    ``sync_wal`` fsyncs every append, as it does for the LSM.
     """
 
-    def __init__(
-        self,
-        inner: Backend,
-        wal_path: str,
-        checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
-        sync: bool = False,
-    ):
-        super().__init__()
-        self.inner = inner
+    def __init__(self, wal_path: str,
+                 wal_checkpoint_bytes: int = DEFAULT_CHECKPOINT_BYTES,
+                 sync_wal: bool = False, seed: int = 0x5EED):
+        super().__init__(seed=seed)
         self.wal_path = wal_path
         self.ckpt_path = checkpoint_path(wal_path)
-        self.checkpoint_bytes = int(checkpoint_bytes)
-        self.sync = sync
+        self.checkpoint_bytes = int(wal_checkpoint_bytes)
+        self.sync_wal = bool(sync_wal)
         self.stats = DurabilityStats()
         parent = os.path.dirname(wal_path)
         if parent:
@@ -204,6 +251,24 @@ class DurableBackend(Backend):
         self._wal = open(wal_path, "ab")
         self._wal_size = self._wal.tell()
 
+    def _apply(self, mutations: Iterable[Tuple[bytes, Optional[bytes]]]
+               ) -> int:
+        """Apply (key, value-or-None) mutations to the map, unlogged.
+
+        Returns how many took effect: erases of absent keys are skipped.
+        """
+        applied = 0
+        for key, value in mutations:
+            if value is None:
+                try:
+                    super().erase(key)
+                except KeyNotFound:
+                    continue
+            else:
+                super().put(key, value)
+            applied += 1
+        return applied
+
     # -- recovery ------------------------------------------------------------
 
     def _recover(self) -> None:
@@ -211,8 +276,7 @@ class DurableBackend(Backend):
         entries = _read_checkpoint(self.ckpt_path)
         if entries is not None:
             self.stats.checkpoint_loaded = True
-            self.inner.put_multi(entries)
-            self.stats.replayed_keys += len(entries)
+            self.stats.replayed_keys += self._apply(entries)
         payloads, torn = read_wal_records(self.wal_path)
         self.stats.torn_tail_bytes = torn
         if torn:
@@ -222,47 +286,37 @@ class DurableBackend(Backend):
                 f.truncate(whole)
         for payload in payloads:
             self.stats.replayed_records += 1
-            for key, value in _decode_record(payload):
-                self.stats.replayed_keys += 1
-                if value is None:
-                    try:
-                        self.inner.erase(key)
-                    except KeyNotFound:
-                        pass  # idempotent re-replay
-                else:
-                    self.inner.put(key, value)
+            self.stats.replayed_keys += self._apply(decode_record(payload))
         self.stats.replay_seconds = time.perf_counter() - start
 
     # -- WAL append ----------------------------------------------------------
 
     def _append(self, payload: bytes) -> None:
-        frame = _frame(payload)
-        self._wal.write(frame)
+        size = write_frame(self._wal, payload)
         # Flush to the OS so a simulated crash (which abandons the file
         # object without a clean close) still finds the record on disk.
         self._wal.flush()
-        if self.sync:
+        if self.sync_wal:
             os.fsync(self._wal.fileno())
-        self._wal_size += len(frame)
+        self._wal_size += size
         self.stats.wal_records += 1
-        self.stats.wal_bytes += len(frame)
+        self.stats.wal_bytes += size
 
     def _maybe_checkpoint(self) -> None:
         """Auto-checkpoint once the WAL outgrows the cadence.
 
-        Called *after* the inner backend applied the mutation the last
-        record describes: checkpointing from ``_append`` would snapshot
-        the pre-mutation state and then truncate away the only record
-        of the in-flight write.
+        Called *after* the map applied the mutation the last record
+        describes: checkpointing from ``_append`` would snapshot the
+        pre-mutation state and then truncate away the only record of
+        the in-flight write.
         """
         if self._wal_size >= self.checkpoint_bytes:
             self.checkpoint()
 
     def checkpoint(self) -> None:
-        """Snapshot the inner backend and truncate the WAL."""
+        """Snapshot the map and truncate the WAL."""
         self._check_open()
-        self.inner.flush()
-        size = _write_checkpoint(self.ckpt_path, self.inner.scan())
+        size = _write_checkpoint(self.ckpt_path, self.scan())
         self._wal.close()
         self._wal = open(self.wal_path, "wb")
         self._wal_size = 0
@@ -275,13 +329,11 @@ class DurableBackend(Backend):
         self._check_open()
         self._wal.flush()
         os.fsync(self._wal.fileno())
-        self.inner.flush()
 
     def close(self) -> None:
         if not self._closed:
             self._wal.flush()
             self._wal.close()
-            self.inner.close()
         super().close()
 
     def crash(self) -> None:
@@ -294,28 +346,26 @@ class DurableBackend(Backend):
         finalizer could later close a reused descriptor number owned by
         a different backend.)
         """
-        self._closed = True
-        self._crashed = True
+        super().crash()
         try:
             self._wal.close()
         except OSError:
             pass
-        crash = getattr(self.inner, "crash", None)
-        if crash is not None:
-            crash()
 
     # -- mutating verbs (logged) ---------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
         self._check_open()
-        self._append(b"P" + _U32.pack(len(key)) + bytes(key) + bytes(value))
-        self.inner.put(key, value)
+        key, value = bytes(key), bytes(value)
+        self._append(encode_put(key, value))
+        super().put(key, value)
         self._maybe_checkpoint()
 
     def erase(self, key: bytes) -> None:
         self._check_open()
-        self.inner.erase(key)  # raises KeyNotFound before logging
-        self._append(b"D" + bytes(key))
+        key = bytes(key)
+        super().erase(key)  # raises KeyNotFound before logging
+        self._append(encode_erase(key))
         self._maybe_checkpoint()
 
     def put_multi(self, pairs: Iterable[Tuple[bytes, bytes]]) -> int:
@@ -323,13 +373,8 @@ class DurableBackend(Backend):
         pairs = [(bytes(k), bytes(v)) for k, v in pairs]
         if not pairs:
             return 0
-        parts = [b"M", _U32.pack(len(pairs))]
-        for key, value in pairs:
-            parts.append(struct.pack("<II", len(key), len(value)))
-            parts.append(key)
-            parts.append(value)
-        self._append(b"".join(parts))
-        stored = self.inner.put_multi(pairs)
+        self._append(encode_put_multi(pairs))
+        stored = self._apply(pairs)
         self._maybe_checkpoint()
         return stored
 
@@ -338,60 +383,7 @@ class DurableBackend(Backend):
         keys = [bytes(k) for k in keys]
         if not keys:
             return 0
-        parts = [b"E", _U32.pack(len(keys))]
-        for key in keys:
-            parts.append(_U32.pack(len(key)))
-            parts.append(key)
-        self._append(b"".join(parts))
-        removed = self.inner.erase_multi(keys)
+        self._append(encode_erase_multi(keys))
+        removed = self._apply((key, None) for key in keys)
         self._maybe_checkpoint()
         return removed
-
-    # -- read verbs (delegated) ----------------------------------------------
-
-    def get(self, key: bytes) -> bytes:
-        self._check_open()
-        return self.inner.get(key)
-
-    def exists(self, key: bytes) -> bool:
-        self._check_open()
-        return self.inner.exists(key)
-
-    def __len__(self) -> int:
-        return len(self.inner)
-
-    def scan(self, start: bytes = b"", inclusive: bool = True
-             ) -> Iterator[Tuple[bytes, bytes]]:
-        self._check_open()
-        return self.inner.scan(start, inclusive=inclusive)
-
-    def get_multi(self, keys: Sequence[bytes]) -> list[Optional[bytes]]:
-        self._check_open()
-        return self.inner.get_multi(keys)
-
-    def exists_multi(self, keys: Sequence[bytes]) -> list[bool]:
-        self._check_open()
-        return self.inner.exists_multi(keys)
-
-    def scan_prefix(self, prefix: bytes) -> Iterator[Tuple[bytes, bytes]]:
-        self._check_open()
-        return self.inner.scan_prefix(prefix)
-
-    def list_keys(
-        self,
-        prefix: bytes = b"",
-        start_after: bytes = b"",
-        limit: int = 0,
-    ) -> list[bytes]:
-        self._check_open()
-        return self.inner.list_keys(prefix, start_after, limit)
-
-    def count_prefix(self, prefix: bytes) -> int:
-        self._check_open()
-        return self.inner.count_prefix(prefix)
-
-    def __getattr__(self, name: str):
-        # Surface inner-backend extras (approximate_bytes, LSM stats...).
-        if name == "inner":  # not yet bound during __init__
-            raise AttributeError(name)
-        return getattr(self.inner, name)

@@ -29,6 +29,7 @@ from repro.hepnos.failover import (
 from repro.hepnos.placement import ShardMap
 from repro.mercury import Fabric
 from repro.yokan.backend import open_backend
+from repro.yokan.backends.memory import MemoryBackend
 from repro.yokan.backends.wal import (
     DurableBackend,
     checkpoint_path,
@@ -137,6 +138,15 @@ class TestDurableBackend:
         with pytest.raises(CorruptionError):
             open_backend("map", wal_path=wal_path)
 
+    def test_durable_map_is_the_map_plus_a_log(self, wal_path):
+        backend = open_backend("map", wal_path=wal_path, sync_wal=True)
+        assert isinstance(backend, MemoryBackend)
+        assert backend.sync_wal
+        assert not hasattr(backend, "inner")
+        backend.put(b"k", b"v")
+        assert backend.approximate_bytes == 2
+        backend.close()
+
     def test_erase_of_missing_key_not_logged(self, wal_path):
         backend = open_backend("map", wal_path=wal_path)
         with pytest.raises(KeyNotFound):
@@ -192,6 +202,49 @@ class TestServerStateLoss:
         after = sum(1 for _ in subrun)
         assert before == 10 and after < before
         fabric.runtime.shutdown()
+
+    @pytest.mark.parametrize("backend, backend_config", [
+        pytest.param("lsm", {"memtable_bytes": 512, "compaction_trigger": 2},
+                     id="lsm"),
+        pytest.param("btree", {}, id="btree"),
+    ])
+    def test_state_loss_with_persistent_backend(self, tmp_path, backend,
+                                                backend_config):
+        """Full stack: a server on a persistent backend killed with
+        ``lose_state`` recovers every acknowledged write from the
+        engine's own files -- there is no outer WAL to replay."""
+        fabric = Fabric(threaded=True)
+        server = BedrockServer(fabric, default_hepnos_config(
+            "sm://state-loss/hepnos", num_providers=1, event_databases=1,
+            product_databases=1, run_databases=1, subrun_databases=1,
+            backend=backend, storage_root=str(tmp_path / backend),
+            backend_config=backend_config))
+        fabric.runtime.start()
+        datastore = DataStore.connect(fabric, [server])
+        dataset = datastore.create_dataset("d")
+        run = dataset.create_run(1)
+        subrun = run.create_subrun(2)
+        for i in range(40):
+            subrun.create_event(i).store({"i": i}, label="x")
+        server.crash(lose_state=True)
+        server.restart()
+        got = sorted(datastore["d"][1][2][e].load(dict, label="x")["i"]
+                     for e in range(40))
+        assert got == list(range(40))
+        stats = server.durability_stats()
+        assert stats["wal_records"] == stats["replayed_records"] == 0
+        if backend == "lsm":
+            assert server.storage_stats()  # LSM stats exposed by the server
+            assert stats["lsm"]["flushes"] >= 0
+        fabric.runtime.shutdown()
+
+    @pytest.mark.parametrize("backend", ["lsm", "btree"])
+    def test_durability_root_is_for_the_map_only(self, tmp_path, backend):
+        with pytest.raises(ConfigError, match="durability_root"):
+            default_hepnos_config(
+                "sm://n/hepnos", backend=backend,
+                storage_root=str(tmp_path / "data"),
+                durability_root=str(tmp_path / "wal"))
 
     def test_crashed_backend_looks_like_dead_server(self, tmp_path):
         """An in-flight handler racing the crash must surface a
@@ -450,30 +503,3 @@ class TestLSMCrashRecovery:
         for key in doomed:
             assert not recovered.exists(key)
         recovered.close()
-
-    def test_server_state_loss_with_lsm_backend(self, tmp_path):
-        """Full stack: an LSM-backed server killed with ``lose_state``
-        recovers every acknowledged write through engine recovery."""
-        fabric = Fabric(threaded=True)
-        server = BedrockServer(fabric, default_hepnos_config(
-            "sm://lsm-loss/hepnos", num_providers=1, event_databases=1,
-            product_databases=1, run_databases=1, subrun_databases=1,
-            backend="lsm", storage_root=str(tmp_path / "lsm"),
-            backend_config={"memtable_bytes": 512,
-                            "compaction_trigger": 2}))
-        fabric.runtime.start()
-        datastore = DataStore.connect(fabric, [server])
-        dataset = datastore.create_dataset("d")
-        run = dataset.create_run(1)
-        subrun = run.create_subrun(2)
-        for i in range(40):
-            subrun.create_event(i).store({"i": i}, label="x")
-        server.crash(lose_state=True)
-        server.restart()
-        got = sorted(datastore["d"][1][2][e].load(dict, label="x")["i"]
-                     for e in range(40))
-        assert got == list(range(40))
-        stats = server.storage_stats()
-        assert stats  # LSM stats are exposed through the server
-        assert server.durability_stats()["lsm"]["flushes"] >= 0
-        fabric.runtime.shutdown()

@@ -17,14 +17,16 @@ from repro.minimpi import SUM, mpirun
 from repro.sim import Simulator
 from repro.sim.network import DragonflyConfig, DragonflyNetwork
 from repro.yokan import LSMBackend
+from repro.yokan.backends.wal import decode_record, read_wal_records
 
 
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     ops=st.lists(
-        st.tuples(st.binary(min_size=1, max_size=4),
-                  st.binary(max_size=16)),
+        st.tuples(st.sampled_from([b"a", b"b", b"c"])
+                  | st.binary(min_size=1, max_size=4),
+                  st.one_of(st.none(), st.binary(max_size=16))),
         min_size=1, max_size=30,
     ),
     cut_fraction=st.floats(min_value=0.0, max_value=1.0),
@@ -32,19 +34,33 @@ from repro.yokan import LSMBackend
 def test_lsm_torn_wal_recovers_prefix(tmp_path_factory, ops, cut_fraction):
     """Truncating the WAL at ANY byte yields a valid prefix state:
     reopening never crashes, and surviving entries form a prefix of the
-    write sequence."""
+    write sequence.  A ``None`` value erases the key (when present), so
+    segments hold ``D`` records too, and the segment decodes through the
+    shared WAL record codec to exactly the acknowledged mutations."""
     tmp = tmp_path_factory.mktemp("lsm-torn")
     path = str(tmp / "db")
     db = LSMBackend(path, memtable_bytes=1 << 30)  # keep all in WAL
     model_states = [dict()]
     model = {}
+    mutations = []
     for key, value in ops:
-        db.put(key, value)
-        model[key] = value
+        if value is None:
+            if key not in model:
+                continue
+            db.erase(key)
+            del model[key]
+        else:
+            db.put(key, value)
+            model[key] = value
+        mutations.append((key, value))
         model_states.append(dict(model))
     db.flush()
     wal_path = db.active_wal_path
     db._wal.close()  # simulate a crash without close-time flushing
+
+    payloads, torn = read_wal_records(wal_path)
+    assert torn == 0
+    assert [m for p in payloads for m in decode_record(p)] == mutations
 
     size = os.path.getsize(wal_path)
     cut = int(size * cut_fraction)

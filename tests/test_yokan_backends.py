@@ -1,5 +1,7 @@
 """Backend conformance tests, run against every Yokan backend kind."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,6 +152,21 @@ class TestOpenBackend:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             open_backend("rocksdb")
+
+    @pytest.mark.parametrize("kind, key", [
+        ("map", "sedd"),
+        ("map", "sync_wal"),  # WAL settings need a wal_path
+        ("lsm", "memtable_byte"),
+        ("lsm", "wal_path"),  # persistent kinds take no outer log
+        ("btree", "comit_every"),
+        ("btree", "wal_path"),
+    ])
+    def test_unknown_config_key_names_kind_and_key(self, tmp_path, kind, key):
+        config = {key: 1}
+        if kind != "map":
+            config["path"] = str(tmp_path / kind)
+        with pytest.raises(ConfigError, match=f"{kind!r}.*{key!r}"):
+            open_backend(kind, **config)
 
 
 class TestLSMInternals:
@@ -334,6 +351,29 @@ class TestBTreeInternals:
         db2 = BTreeBackend(str(tmp_path / "bt"), order=8)
         assert len(db2) == 25
         db2.close()
+
+    def test_crash_with_uncommitted_tail_then_restart(self, tmp_path):
+        """A crash drops mutations after the last commit, and the dead
+        backend's buffered nodes must not land among the nodes of the
+        backend restarted over the same files."""
+        path = str(tmp_path / "bt")
+        db = BTreeBackend(path, order=8, commit_every=4)
+        for i in range(10):
+            db.put(b"k%02d" % i, b"v" * 50)
+        db.crash()
+        restarted = BTreeBackend(path, order=8, commit_every=4)
+        assert [k for k, _ in restarted.scan()] == [b"k%02d" % i
+                                                   for i in range(8)]
+        del db  # the dead backend's file object is finalized here
+        gc.collect()
+        expected = {b"k%02d" % i: b"v" * 50 for i in range(8)}
+        for i in range(10, 14):  # one commit, offsets taken before it
+            restarted.put(b"k%02d" % i, b"w" * 50)
+            expected[b"k%02d" % i] = b"w" * 50
+        restarted.close()
+        again = BTreeBackend(path, order=8)
+        assert dict(again.scan()) == expected
+        again.close()
 
     def test_rebuild_compacts_file(self, tmp_path):
         db = BTreeBackend(str(tmp_path / "bt"), order=8)
